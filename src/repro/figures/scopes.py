@@ -26,8 +26,8 @@ class FigureScope:
         scheduling_matrix: Input for the scheduling-ablation figure
             (the paper uses email-Enron).
         dataflow_matrices: Inputs for the dataflow work-count figure
-            (functional execution of all three dataflows is the
-            slowest generator, so it gets its own, smaller set).
+            (its own set: the counts are closed form and cheap, but the
+            figure compares a few contrasting inputs, not the suite).
     """
 
     name: str
