@@ -1,6 +1,6 @@
 """Table 4: extended-set matrix characteristics (scaled stand-ins)."""
 
-from repro.matrices.suite import EXTENDED_SET, spec_by_name
+from repro.matrices.suite import spec_by_name
 
 
 def test_table4(run_figure):

@@ -8,7 +8,7 @@ locality, how selective coordinate-space tiling treats dense rows, and
 why tiling *everything* backfires.
 """
 
-from repro import GammaConfig, GammaSimulator, PreprocessConfig, preprocess
+from repro import GammaConfig, GammaSimulator, PreprocessConfig
 from repro.analysis.report import render_table
 from repro.matrices import generators
 from repro.matrices.stats import matrix_affinity, window_size

@@ -227,11 +227,11 @@ REF_MODEL_POINTS = [
 ]
 
 #: Deep-tree points: (matrix, num_pes, radix). A small PE radix forces
-#: multi-level task trees on large suite matrices, so interior merge
-#: tasks and root emits dominate the dispatch mix — the scalar tail the
-#: interior-cohort epochs eliminate. Both engines run every point
-#: (``model-deep/*`` and ``model-ref-deep/*`` rows); the batched rows
-#: carry the engine's dispatch split in their detail blob.
+#: multi-level task trees on large suite matrices, so fenced leaf runs
+#: interleave with interior merges and root emits (the batched core's
+#: scalar dispatches). Both engines run every point (``model-deep/*``
+#: and ``model-ref-deep/*`` rows); the batched rows carry the engine's
+#: dispatch split in their detail blob.
 DEEP_MODEL_POINTS = [
     ("webbase-1M", 8, 4),
     ("roadNet-CA", 8, 2),

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.config import GammaConfig
-from repro.core.result import SimulationResult
 
 
 @dataclass(frozen=True)

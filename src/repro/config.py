@@ -81,7 +81,7 @@ class GammaConfig:
 
     @property
     def peak_flops(self) -> float:
-        """Peak multiply-accumulate throughput (one MAC = one FLOP, Sec. 6.5)."""
+        """Peak multiply-accumulate rate (one MAC = one FLOP, Sec. 6.5)."""
         return self.num_pes * self.frequency_hz
 
     def scaled(self, **overrides) -> "GammaConfig":

@@ -54,7 +54,7 @@ class Accumulator:
             self._out_values.append(self._value)
 
     def flush(self) -> Fiber:
-        """Emit the trailing element and return the accumulated output fiber."""
+        """Emit the trailing element; return the accumulated output fiber."""
         self._emit()
         self._coord = None
         self._value = 0.0

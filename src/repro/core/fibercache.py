@@ -1,4 +1,4 @@
-"""FiberCache: Gamma's hybrid cache / explicitly-orchestrated buffer (Sec. 3.2).
+"""FiberCache: Gamma's hybrid cache / explicitly orchestrated buffer (3.2).
 
 A set-associative cache over 64 B lines with four primitives:
 
@@ -42,8 +42,9 @@ observability.
 
 The scalar primitives (``fetch``/``read``/``write``/``consume``) remain
 as single-line wrappers over the range kernels; the authoritative scalar
-*model* of the semantics is :class:`repro.core.fibercache_ref.ReferenceFiberCache`,
-which the Hypothesis lockstep suite replays against this class.
+*model* of the semantics is
+:class:`repro.core.fibercache_ref.ReferenceFiberCache`, which the
+Hypothesis lockstep suite replays against this class.
 """
 
 from __future__ import annotations
@@ -680,110 +681,6 @@ class FiberCache:
         self.stats.consume_misses += misses
         self.miss_lines["partial"] += misses
         return misses, 0
-
-    def consume_ranges(self, ranges) -> Tuple[int, int]:
-        """Batched :meth:`consume_range` over several ``(lo, hi)`` ranges.
-
-        One PE pass over an interior task consumes every partial input
-        fiber back to back; this folds those consumes into one call with
-        the exact per-address touch order of the serial calls and a
-        single stats flush.
-
-        Returns:
-            (miss_lines, 0) summed over the ranges.
-        """
-        slot_of = self._slot_of
-        tags = self._tags
-        cat = self._cat
-        num_ways = self.num_ways
-        num_banks = len(self.bank_accesses)
-        bank_accesses = self.bank_accesses
-        bank_hits = self.bank_hits
-        bank_misses = self.bank_misses
-        occupancy = self.occupancy
-        fill = self._fill
-        hits = 0
-        misses = 0
-        for lo, hi in ranges:
-            for addr in range(lo, hi):
-                bank_accesses[addr % num_banks] += 1
-                slot = slot_of.pop(addr, None)
-                if slot is not None:
-                    hits += 1
-                    bank_hits[addr % num_banks] += 1
-                    occupancy[_CATEGORIES[cat[slot]]] -= 1
-                    tags[slot] = -1
-                    fill[slot // num_ways] -= 1
-                else:
-                    misses += 1
-                    bank_misses[addr % num_banks] += 1
-        self.stats.consume_hits += hits
-        self.stats.consume_misses += misses
-        self.miss_lines["partial"] += misses
-        return misses, 0
-
-    def fetch_read_ranges(self, ranges,
-                          category: str = "B") -> Tuple[int, int]:
-        """Batched :meth:`fetch_read_range` over several ``(lo, hi)`` ranges.
-
-        The per-task touch pattern for tasks with several direct inputs:
-        fetch+read each range in order, identical state evolution to the
-        serial calls, one stats flush. Ranges wrapping the set space
-        (longer than ``num_sets`` lines) take the exact two-pass
-        fallback, which flushes its own stats.
-
-        Returns:
-            (miss_lines, dirty_evictions) summed over the ranges.
-        """
-        if category not in self.miss_lines:
-            raise ValueError(f"unknown line category {category!r}")
-        cat_code = _CAT_CODE[category]
-        slot_of = self._slot_of
-        keys = self._key
-        install = self._install
-        num_sets = self.num_sets
-        num_banks = len(self.bank_accesses)
-        bank_accesses = self.bank_accesses
-        bank_hits = self.bank_hits
-        bank_misses = self.bank_misses
-        stats = self.stats
-        hits = 0
-        misses = 0
-        fused_lines = 0
-        wrap_misses = 0
-        dirty_before = stats.dirty_evictions
-        for lo, hi in ranges:
-            if hi - lo > num_sets:
-                m1, _ = self.fetch_range(lo, hi, category)
-                m2, _ = self.read_range(lo, hi, category)
-                wrap_misses += m1 + m2
-                continue
-            for addr in range(lo, hi):
-                bank = addr % num_banks
-                bank_accesses[bank] += 2
-                bank_hits[bank] += 1  # the read hits the fetched line
-                slot = slot_of.get(addr)
-                if slot is not None:
-                    hits += 1
-                    bank_hits[bank] += 1
-                    # fetch: priority++ (saturating); read: priority--;
-                    # the pair is a no-op unless already saturated.
-                    k = keys[slot]
-                    if k >= _KEY_PRIO_SAT:
-                        k -= _KEY_PRIO_ONE
-                    keys[slot] = k | _KEY_RRPV0
-                else:
-                    misses += 1
-                    bank_misses[bank] += 1
-                    # fetch installs at priority 1; the read drops it to 0.
-                    install(addr, cat_code, _KEY_RRPV0)
-            fused_lines += hi - lo
-        stats.fetch_hits += hits
-        stats.fetch_misses += misses
-        stats.read_hits += fused_lines
-        self.miss_lines[category] += misses
-        return (misses + wrap_misses,
-                stats.dirty_evictions - dirty_before)
 
     # ------------------------------------------------------------------
     # Scalar primitives (single-line wrappers over the range kernels)

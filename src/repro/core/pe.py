@@ -1,4 +1,4 @@
-"""Processing element: linearly combines sparse fibers (paper Sec. 3.1, Fig. 6).
+"""Processing element: linearly combines sparse fibers (Sec. 3.1, Fig. 6).
 
 A PE takes up to ``radix`` input fiber descriptors (location, size, scaling
 factor), streams them through the high-radix merger, multiplies each merged

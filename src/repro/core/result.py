@@ -34,9 +34,11 @@ class SimulationResult:
             None otherwise. See :mod:`repro.obs`.
         dispatch: Execution-path split ``{"scalar": n, "epoch": m}`` —
             tasks dispatched one-at-a-time vs inside a batched epoch.
-            Engine diagnostics, not behavior: the reference engine is
-            all-scalar by construction and the lockstep suite excludes
-            this field from its equality set.
+            On the batched core every level-0 leaf runs in an epoch, so
+            ``scalar`` counts interior merges and root emits (all tasks
+            on instrumented runs). Engine diagnostics, not behavior: the
+            reference engine is all-scalar by construction and the
+            lockstep suite excludes this field from its equality set.
     """
 
     output: Optional[CsrMatrix]
@@ -55,7 +57,11 @@ class SimulationResult:
 
     @property
     def scalar_dispatch_fraction(self) -> Optional[float]:
-        """Fraction of tasks that ran on the scalar path (None if unknown)."""
+        """Fraction of tasks that ran on the scalar path (None if unknown).
+
+        On the batched core these are the interior merges and root
+        emits of task trees; leaves always run in epochs.
+        """
         if not self.dispatch:
             return None
         total = (self.dispatch.get("scalar", 0)

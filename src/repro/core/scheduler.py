@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.tasks import (LeafTask, Task, TaskInput, build_task_tree,
-                              _task_ids)
+from repro.core.tasks import (Task, TaskInput, build_leaf_tree,
+                              build_task_tree, _task_ids)
 from repro.matrices.csr import CsrMatrix
 
 
@@ -141,15 +141,7 @@ class Scheduler:
         self._item_cursor += 1
         self.items_consumed += 1
         order = next(self._order_counter)
-        emit_final = item.num_parts == 1
-        tree = build_task_tree(
-            row=item.row,
-            b_rows=item.coords,
-            scales=item.values,
-            radix=self.radix,
-            row_order=order,
-            emit_final=emit_final,
-        )
+        tree = self._build_tree(item, order, emit_final=item.num_parts == 1)
         self._register_tasks(tree)
         if item.num_parts > 1:
             root = tree[-1]
@@ -160,6 +152,18 @@ class Scheduler:
             if seen == item.num_parts:
                 self._emit_combine_tasks(item.row, parts, order)
         return True
+
+    def _build_tree(self, item: WorkItem, order: int,
+                    emit_final: bool) -> List[Task]:
+        """The task tree of one work item (children before parents)."""
+        return build_task_tree(
+            row=item.row,
+            b_rows=item.coords,
+            scales=item.values,
+            radix=self.radix,
+            row_order=order,
+            emit_final=emit_final,
+        )
 
     def _emit_combine_tasks(
         self, row: int, part_task_ids: List[int], order: int
@@ -295,39 +299,25 @@ class EpochScheduler(Scheduler):
 
     Two additions over the base dynamic scheduler, both bit-neutral:
 
-    * *Simple* work items — untiled rows fitting the radix
-      (``num_parts == 1`` and ``nnz <= radix``), i.e. items whose whole
-      task tree is one final leaf — expand to an array-backed
-      :class:`~repro.core.tasks.LeafTask` instead of a one-leaf tree of
-      ``TaskInput`` objects. Task-id consumption, ready keys, and every
-      counter match the base expansion exactly.
-    * :meth:`drain_stretch` pops the run of dispatches the reference
-      event loop would perform back-to-back with timing-independent
-      order, handing the batched core whole epochs of index-addressable
-      tasks instead of one ``next_task()`` pull per dispatch.
+    * Task-tree leaves are array-backed :class:`~repro.core.tasks.LeafTask`
+      slices of their work item (:func:`~repro.core.tasks.build_leaf_tree`)
+      instead of lists of ``TaskInput`` objects. Task-id consumption,
+      ready keys, and every counter match the base expansion exactly.
+    * :meth:`drain_stretch`, :meth:`drain_ready_leaves` and
+      :meth:`fence_plan` hand the batched core whole runs of level-0
+      dispatches whose order the reference event loop fixes
+      independently of task timing.
+
+    Leaves dispatch in *program order*: every leaf enters the ready heap
+    at its item's expansion with key ``(row_order, 0, task_id)`` and
+    nothing else outranks an earlier item's leaf, so the batched core
+    can merge leaves ahead of dispatch in the same order.
     """
 
-    def _is_simple(self, item: WorkItem) -> bool:
-        return item.num_parts == 1 and item.nnz <= self.radix
-
-    def _expand_simple_item(self, item: WorkItem) -> None:
-        """Expand a simple item straight to its single final leaf."""
-        self._item_cursor += 1
-        self.items_consumed += 1
-        order = next(self._order_counter)
-        task = LeafTask(next(_task_ids), item.row, item.coords,
-                        item.values, order)
-        self.tasks_created += 1
-        heapq.heappush(self._ready, ((order, 0, task.task_id), task))
-
-    def _expand_next_item(self) -> bool:
-        if self._item_cursor >= len(self.program.items):
-            return False
-        item = self.program.items[self._item_cursor]
-        if self._is_simple(item):
-            self._expand_simple_item(item)
-            return True
-        return super()._expand_next_item()
+    def _build_tree(self, item: WorkItem, order: int,
+                    emit_final: bool) -> List:
+        return build_leaf_tree(item.row, item.coords, item.values,
+                               self.radix, order, emit_final)
 
     def peek_ready(self) -> Optional[Task]:
         """The task ``next_task`` would dispatch, without popping it."""
@@ -437,29 +427,6 @@ class EpochScheduler(Scheduler):
             entries.append(pop(ready))
         return entries
 
-    def drain_ready_interiors(self) -> List:
-        """Pop the run of ready interior (level >= 1) tasks at the ready head.
-
-        The interior mirror of :meth:`drain_ready_leaves`: every popped
-        task's inputs are already dispatched and completed (that is what
-        put it in the ready heap), so the run forms a *cohort* whose
-        dispatch order the reference loop fixes by heap priority alone —
-        until its PE-availability horizon reaches the cohort's fence
-        (:meth:`fence_plan` applies unchanged: drained interior ids play
-        the ``leaf_ids`` role). The run stops at the first level-0
-        entry, keeping the specialized leaf epoch paths for leaf work.
-        Returns the popped heap entries verbatim so an undispatched
-        suffix can be pushed back untouched.
-        """
-        ready = self._ready
-        pop = heapq.heappop
-        entries: List = []
-        while ready:
-            if ready[0][1].level == 0:
-                break
-            entries.append(pop(ready))
-        return entries
-
     def push_back(self, entries) -> None:
         """Return undispatched :meth:`drain_ready_leaves` entries unchanged."""
         ready = self._ready
@@ -467,13 +434,14 @@ class EpochScheduler(Scheduler):
         for entry in entries:
             push(ready, entry)
 
-    def drain_stretch(self, pending_target: int):
+    def drain_stretch(self, limit: Optional[int] = None):
         """Extract a maximal run of timing-independent final-leaf dispatches.
 
         Returns the run as parallel arrays ``(rows, task_ids, coords,
         scales)`` — struct-of-arrays form, one entry per dispatch — so
         the batched core never materializes per-task objects for epoch
-        work.
+        work. ``limit`` caps the run length (the batched core stops a
+        stretch where its precomputed leaf records end).
 
         The run is exactly the stretch the reference event loop would
         dispatch back-to-back: every already-expanded final leaf in the
@@ -491,8 +459,9 @@ class EpochScheduler(Scheduler):
         same cursor order as per-item expansion, keeping ids aligned
         with the reference engine. The fence stops the run *before* a
         complex item is expanded, whose tree/combine registration is
-        timing-sensitive; the caller must guarantee no tasks are waiting
-        on dependencies and that the ready head is a final leaf.
+        timing-sensitive; the caller must guarantee that no waiting task
+        can become ready during the run and that the ready head is a
+        final leaf.
         """
         ready = self._ready
         pop = heapq.heappop
@@ -500,9 +469,12 @@ class EpochScheduler(Scheduler):
         ids: List[int] = []
         coords: List = []
         scales: List = []
+        if limit is None:
+            limit = len(self.program.items)
         while ready:
             task = ready[0][1]
-            if task.level != 0 or not task.is_final:
+            if (task.level != 0 or not task.is_final
+                    or len(rows) == limit):
                 return rows, ids, coords, scales
             pop(ready)
             rows.append(task.row)
@@ -514,10 +486,10 @@ class EpochScheduler(Scheduler):
         # stands in for the reference's per-refill gate).
         if self.outstanding_partials < self.max_outstanding_partials:
             items = self.program.items
-            num_items = len(items)
             radix = self.radix
             cursor = start = self._item_cursor
-            while cursor < num_items:
+            stop = min(len(items), start + limit - len(rows))
+            while cursor < stop:
                 item = items[cursor]
                 if item.num_parts != 1 or item.nnz > radix:
                     break

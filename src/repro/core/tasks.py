@@ -9,6 +9,7 @@ final output row.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
@@ -89,30 +90,30 @@ class Task:
 
 
 class LeafTask:
-    """Array-backed final leaf task for single-task work items.
+    """Array-backed level-0 task: a slice of one work item.
 
-    Functionally identical to the one-leaf tree ``build_task_tree``
-    builds for a *simple* work item (``num_parts == 1`` and
-    ``nnz <= radix``) — same global task-id consumption, level 0, final
-    output — but keeps the item's B row ids and scaling factors as the
-    original numpy arrays instead of materializing one ``TaskInput``
-    per element. The batched simulator core gathers inputs for whole
-    epochs straight from these arrays; ``inputs`` materializes lazily
-    for the scalar execution path, which stays oblivious.
+    Functionally identical to the leaf ``build_task_tree`` builds over
+    the same inputs — same global task-id consumption, level 0, same
+    ``is_final`` — but keeps the slice's B row ids and scaling factors
+    as numpy views instead of materializing one ``TaskInput`` per
+    element. The batched simulator core never reads the inputs of a
+    leaf at dispatch (its functional pass merges leaves straight from
+    the work items); ``inputs`` materializes lazily for the scalar
+    execution path, which stays oblivious.
     """
 
-    __slots__ = ("task_id", "row", "row_order", "b_coords", "b_scales",
-                 "_inputs")
+    __slots__ = ("task_id", "row", "row_order", "is_final", "b_coords",
+                 "b_scales", "_inputs")
 
     level = 0
-    is_final = True
     children: Tuple = ()
 
     def __init__(self, task_id: int, row: int, b_coords, b_scales,
-                 row_order: int) -> None:
+                 row_order: int, is_final: bool = True) -> None:
         self.task_id = task_id
         self.row = row
         self.row_order = row_order
+        self.is_final = is_final
         self.b_coords = b_coords
         self.b_scales = b_scales
         self._inputs = None
@@ -136,7 +137,7 @@ class LeafTask:
 
     def __repr__(self) -> str:
         return (f"LeafTask(task_id={self.task_id}, row={self.row}, "
-                f"num_inputs={self.num_inputs})")
+                f"num_inputs={self.num_inputs}, is_final={self.is_final})")
 
 
 def build_task_tree(
@@ -244,8 +245,101 @@ def build_task_tree(
     return tasks
 
 
+@functools.lru_cache(maxsize=1024)
+def tree_plan(count: int, radix: int) -> Tuple[Tuple, ...]:
+    """The shape of :func:`build_task_tree`'s tree over ``count`` inputs.
+
+    One entry per task in creation (task-id) order: ``(lo, hi)`` for a
+    leaf over inputs ``[lo, hi)``, ``(level, children, direct)`` for an
+    interior merge, where ``children`` indexes earlier entries and
+    ``direct`` lists the input positions fed straight to its merger.
+    The shape depends only on ``(count, radix)``, so recent shapes are
+    memoized (real matrices repeat row lengths heavily).
+    """
+    plan: List[Tuple] = []
+
+    def build(lo: int, hi: int) -> Tuple[int, int]:
+        count = hi - lo
+        if count <= radix:
+            plan.append((lo, hi))
+            return len(plan) - 1, 0
+        children: List[int] = []
+        direct: List[int] = []
+        level = 0
+        base, remainder = divmod(count, radix)
+        cursor = lo
+        for slot in range(radix):
+            size = base + (1 if slot < remainder else 0)
+            if size == 1:
+                direct.append(cursor)
+            else:
+                index, child_level = build(cursor, cursor + size)
+                children.append(index)
+                level = max(level, child_level)
+            cursor += size
+        plan.append((level + 1, tuple(children), tuple(direct)))
+        return len(plan) - 1, level + 1
+
+    build(0, count)
+    return tuple(plan)
+
+
+@functools.lru_cache(maxsize=1024)
+def leaf_ranges(count: int, radix: int) -> Tuple[Tuple[int, int], ...]:
+    """Input ranges of the tree's leaves, in dispatch (task-id) order."""
+    return tuple(entry for entry in tree_plan(count, radix)
+                 if len(entry) == 2)
+
+
+def build_leaf_tree(
+    row: int,
+    coords,
+    values,
+    radix: int,
+    row_order: int = 0,
+    emit_final: bool = True,
+) -> List:
+    """:func:`build_task_tree` with array-backed leaves.
+
+    Same tasks, ids, levels, inputs and finality, but every leaf is a
+    :class:`LeafTask` over a slice of ``coords``/``values`` (numpy
+    arrays), so expanding a work item creates no per-element
+    ``TaskInput`` for leaf inputs. Interior merges stay :class:`Task`.
+    """
+    if len(coords) == 0:
+        raise ValueError(f"row {row}: cannot build a task tree with no inputs")
+    tasks: List = []
+    b_rows = scales = None
+    for entry in tree_plan(len(coords), radix):
+        if len(entry) == 2:
+            lo, hi = entry
+            task = LeafTask(next(_task_ids), row, coords[lo:hi],
+                            values[lo:hi], row_order, is_final=False)
+        else:
+            level, children, direct = entry
+            if direct and b_rows is None:
+                b_rows = coords.tolist()
+                scales = values.tolist()
+            kids = [tasks[index] for index in children]
+            task = Task(
+                task_id=next(_task_ids),
+                row=row,
+                level=level,
+                inputs=(
+                    [TaskInput("partial", kid.task_id, 1.0) for kid in kids]
+                    + [TaskInput("B", b_rows[i], scales[i]) for i in direct]
+                ),
+                is_final=False,
+                row_order=row_order,
+                children=kids,
+            )
+        tasks.append(task)
+    tasks[-1].is_final = emit_final
+    return tasks
+
+
 def tree_stats(tasks: Sequence[Task]) -> Tuple[int, int]:
-    """(number of tasks, tree depth) — e.g., 4096 fibers @ radix 64 -> (65, 2)."""
+    """(number of tasks, tree depth); 4096 fibers @ radix 64 -> (65, 2)."""
     if not tasks:
         return (0, 0)
     return (len(tasks), max(t.level for t in tasks) + 1)

@@ -73,7 +73,9 @@ class ExecutionTrace:
             busy[event.pe] = busy.get(event.pe, 0.0) + event.busy_cycles
         return busy
 
-    def pe_utilization(self, num_pes: Optional[int] = None) -> Dict[int, float]:
+    def pe_utilization(
+        self, num_pes: Optional[int] = None
+    ) -> Dict[int, float]:
         """Busy fraction per PE over the makespan."""
         span = max(self.makespan, 1e-12)
         busy = self.pe_busy_cycles()

@@ -222,7 +222,11 @@ class RunRecord:
     # -- derived metrics (superset of both legacy result types) ---------
     @property
     def scalar_dispatch_fraction(self) -> Optional[float]:
-        """Fraction of tasks dispatched on the scalar path (None if unknown)."""
+        """Share of tasks dispatched on the scalar path (None if unknown).
+
+        On the batched core these are the interior merges and root
+        emits of task trees; leaves always run in epochs.
+        """
         if not self.dispatch:
             return None
         total = (self.dispatch.get("scalar", 0)

@@ -9,7 +9,8 @@ from repro.matrices.io import (
     read_matrix_market,
     write_matrix_market,
 )
-from repro.matrices.stats import MatrixStats, flops, matrix_affinity, window_size
+from repro.matrices.stats import (MatrixStats, flops, matrix_affinity,
+                                   window_size)
 
 __all__ = [
     "CooBuilder",

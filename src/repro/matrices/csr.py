@@ -54,7 +54,8 @@ class CsrMatrix:
             )
         if len(self.coords) != len(self.values):
             raise ValueError("coords/values length mismatch")
-        if rows and (self.offsets[0] != 0 or self.offsets[-1] != len(self.coords)):
+        if rows and (self.offsets[0] != 0
+                     or self.offsets[-1] != len(self.coords)):
             raise ValueError("offsets must span [0, nnz]")
         if np.any(np.diff(self.offsets) < 0):
             raise ValueError("offsets must be non-decreasing")
@@ -65,7 +66,8 @@ class CsrMatrix:
                 if row_coords[0] < 0 or row_coords[-1] >= cols:
                     raise ValueError(f"row {row} has out-of-range coordinates")
                 if len(row_coords) > 1 and np.any(np.diff(row_coords) <= 0):
-                    raise ValueError(f"row {row} coordinates not strictly increasing")
+                    raise ValueError(
+                        f"row {row} coordinates not strictly increasing")
 
     # ------------------------------------------------------------------
     # Constructors

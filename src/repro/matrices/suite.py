@@ -167,10 +167,12 @@ EXTENDED_SET: List[MatrixSpec] = [
     _sq("gupta2", "mixed", 62_064, 68.45, 485,
         sparse_nnz_per_row=66.0, dense_row_fraction=0.02,
         dense_row_nnz=120, npr_scaled=True),
-    _sq("vsp_bcsstk30_500", "mesh", 58_348, 69.12, 656, npr=48.0, band_factor=0.75),
+    _sq("vsp_bcsstk30_500", "mesh", 58_348, 69.12, 656, npr=48.0,
+        band_factor=0.75),
     _sq("Ge87H76", "mesh", 112_985, 69.85, 1027, npr=40.0, band_factor=0.75),
     _sq("raefsky3", "mesh", 21_200, 70.22, 485, npr=48.0, band_factor=0.75),
-    _sq("sme3Db", "mesh", 29_067, 71.60, 677, npr=48.0, renumber=True, band_factor=0.75),
+    _sq("sme3Db", "mesh", 29_067, 71.60, 677, npr=48.0, renumber=True,
+        band_factor=0.75),
     _sq("Ge99H100", "mesh", 112_985, 74.80, 1100, npr=40.0, band_factor=0.75),
     _sq("x104", "mesh", 108_384, 80.40, 1135, npr=40.0, band_factor=0.75),
     _sq("m_t1", "mesh", 97_578, 99.96, 952, npr=40.0, band_factor=0.75),

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 from repro.config import GammaConfig
 from repro.matrices.csr import CsrMatrix
 from repro.matrices.stats import window_size
-from repro.preprocessing.pqueue import BucketQueue, IndexedMaxHeap
+from repro.preprocessing.pqueue import BucketQueue
 
 
 def affinity_reorder(

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.analysis.area import (
-    NODE_SCALE,
     gamma_area,
     merger_area,
-    pe_area,
     pe_component_fractions,
     sparch_merger_area_ratio,
 )

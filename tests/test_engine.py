@@ -7,7 +7,6 @@ equal a serial sweep result-for-result. Small suite matrices keep the
 battery fast.
 """
 
-import dataclasses
 import json
 
 import pytest

@@ -14,7 +14,6 @@ Four laws, each over randomized operands, masks, and semirings:
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -11,7 +11,6 @@ from repro.matrices.fiber import Fiber, linear_combine
 from repro.semiring import (
     ARITHMETIC,
     BOOLEAN,
-    MAX_MIN,
     MAX_TIMES,
     STANDARD_SEMIRINGS,
     TROPICAL_MIN,

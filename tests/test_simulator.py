@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import GammaConfig, PreprocessConfig
-from repro.core import GammaSimulator, WorkProgram, multiply
+from repro.core import GammaSimulator, multiply
 from repro.core.dram import MemoryInterface, TrafficCounter
 from repro.matrices import generators
 from repro.matrices.csr import CsrMatrix

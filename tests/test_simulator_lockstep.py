@@ -8,9 +8,10 @@ breakdown, same task/flop/utilization accounting. This suite replays
 seeded random CSR pairs through both engines across every execution
 mode — {arithmetic, boolean, tropical} x {multi-PE on/off} x {detailed
 PE model on/off} — on the deliberately tiny ``SMALL_CONFIG`` system so
-evictions, partial spills, and multi-level task trees (the scalar-tail
-fallback) all trigger, and asserts exact equality of everything a
-:class:`~repro.core.result.SimulationResult` reports.
+evictions, partial spills, and multi-level task trees (leaf epochs
+interleaved with scalar interior merges) all trigger, and asserts exact
+equality of everything a :class:`~repro.core.result.SimulationResult`
+reports.
 
 Trace and metrics artifacts are pinned too: the per-task event stream
 must match field-for-field (after aligning the process-global task-id
@@ -30,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.config import GammaConfig
-from repro.core import GammaSimulator, ReferenceGammaSimulator
+from repro.core import GammaSimulator, ReferenceGammaSimulator, WorkProgram
 from repro.core.trace import ExecutionTrace
 from repro.matrices.builder import CooBuilder
 from repro.semiring import BOOLEAN, MAX_TIMES, TROPICAL_MIN
@@ -195,13 +196,13 @@ def test_golden_modes_run():
 
 
 # ---------------------------------------------------------------------------
-# Deep task trees: interior-cohort epochs
+# Deep task trees: leaf epochs between scalar interior merges
 # ---------------------------------------------------------------------------
 
 #: Radix 2 with dense A rows forces task trees of level >= 2, so interior
 #: tasks dominate the dispatch mix; the 1 KB FiberCache (16 lines) spills
-#: partial fibers mid-cohort, exercising the consume-miss / partial_read
-#: path inside interior epochs.
+#: partial fibers between a leaf's epoch and its parent's dispatch,
+#: exercising the consume-miss / partial_read path.
 DEEP_CONFIG = GammaConfig(
     num_pes=2, radix=2, fibercache_bytes=1024,
     fibercache_ways=2, fibercache_banks=2,
@@ -212,9 +213,9 @@ def deep_pair(seed):
     """A seeded (A, B) pair whose A rows all exceed ``radix**2`` nonzeros.
 
     Every A row gets 5-16 nonzeros, so at radix 2 each row's task tree
-    has at least three levels (leaves, combines, root) and the ready
-    heap regularly holds runs of interior tasks — the cohort path under
-    test — rather than the leaf-only stretches the shallow suite covers.
+    has at least three levels (leaves, combines, root), fenced leaf runs
+    interleave with interior merges, and parents arm mid-run — rather
+    than the leaf-only stretches the shallow suite covers.
     """
     rng = np.random.default_rng(10_000 + seed)
     m = int(rng.integers(3, 10))
@@ -235,22 +236,122 @@ def deep_pair(seed):
     return a_builder.build(), b_builder.build()
 
 
-def test_deep_pair_forces_interior_cohorts():
-    """The deep generator actually produces level >= 2 interior epochs.
+def test_deep_pair_dispatch_split():
+    """Leaves dispatch in epochs, interior merges and roots on the scalar path.
 
-    Guards test efficacy: traces must contain interior tasks two levels
-    up, and the batched engine must dispatch them through the cohort
-    path (zero scalar dispatches), otherwise the lockstep assertions
-    below would be vacuously passing on leaf-only work.
+    Guards test efficacy — traces must contain interior tasks two levels
+    up, otherwise the deep lockstep assertions below would pass
+    vacuously on leaf-only work — and pins the batched core's dispatch
+    contract: every level-0 task runs inside an epoch, every interior or
+    root task through the reference's ``_execute_task``.
     """
     a, b = deep_pair(0)
     trace = ExecutionTrace()
     _reset_task_ids()
     result = GammaSimulator(DEEP_CONFIG, trace=trace).run(a, b)
-    levels = {e.level for e in trace.events}
-    assert max(levels) >= 2, f"no deep trees (levels seen: {levels})"
-    assert result.dispatch["scalar"] == 0
-    assert result.dispatch["epoch"] == result.num_tasks
+    levels = [e.level for e in trace.events]
+    assert max(levels) >= 2, f"no deep trees (levels seen: {set(levels)})"
+    leaves = levels.count(0)
+    assert result.dispatch == {"scalar": len(levels) - leaves,
+                               "epoch": leaves}
+
+
+def tiled_case():
+    """A preprocessed ``full``-variant program whose dense rows are tiled.
+
+    Each tiled part expands to a non-final leaf or tree, and its row's
+    combine tree registers only once the last part expands.
+    """
+    from repro.config import PreprocessConfig
+    from repro.matrices import generators
+    from repro.preprocessing import preprocess
+
+    a = generators.mixed_density(
+        100, 100, 8.0, dense_row_fraction=0.05, dense_row_nnz=80, seed=7)
+    config = GammaConfig(radix=8, fibercache_bytes=16 * 1024)
+    program = preprocess(a, a, config, PreprocessConfig.full())
+    assert any(item.num_parts > 1 for item in program.items)
+    return config, a, a, program
+
+
+def split_case(seed):
+    """A ``deep_pair`` program with every A row split into 1-nonzero parts.
+
+    Each part is a single non-final leaf, and a row of more parts than
+    the scheduler's lookahead registers its combine tree only after its
+    first parts dispatch — so runs open on a non-final leaf with no task
+    waiting at all.
+    """
+    from repro.core.scheduler import WorkItem
+
+    a, b = deep_pair(seed)
+    items = []
+    for row in range(a.num_rows):
+        lo, hi = a.offsets[row], a.offsets[row + 1]
+        for part, k in enumerate(range(lo, hi)):
+            items.append(WorkItem(row, part, int(hi - lo),
+                                  a.coords[k:k + 1], a.values[k:k + 1]))
+    return SMALL_CONFIG, a, b, WorkProgram(items, a.num_rows, a.num_cols)
+
+
+def functional_cases():
+    """Deep trees, shallow mixes, split and tiled programs."""
+    cases = [(DEEP_CONFIG, *deep_pair(seed), None) for seed in QUICK_SEEDS]
+    cases += [(SMALL_CONFIG, *random_pair(seed), None)
+              for seed in QUICK_SEEDS]
+    cases += [split_case(seed) for seed in QUICK_SEEDS[:4]]
+    return cases + [tiled_case()]
+
+
+def leaf_input_elements(b, program, radix):
+    """B elements every level-0 leaf consumes, from the oracle's trees."""
+    from repro.core.tasks import build_task_tree
+
+    b_nnz = np.diff(b.offsets)
+    total = 0
+    for item in program.items:
+        for task in build_task_tree(item.row, item.coords, item.values,
+                                    radix, emit_final=item.num_parts == 1):
+            if task.level == 0:
+                total += sum(int(b_nnz[inp.index]) for inp in task.inputs)
+    return total
+
+
+@pytest.mark.parametrize("lookahead", (None, 1, 24),
+                         ids=("default", "one-item", "small"))
+def test_functional_pass_merges_each_leaf_once(monkeypatch, lookahead):
+    """The functional pass merges every leaf exactly once, ahead of dispatch.
+
+    The elements its kernel merges must equal the sum of the leaves'
+    input nnz: a leaf merged twice (re-merged after an undispatched
+    suffix is pushed back, or again on the scalar path) or skipped
+    (merged by the scalar path instead) breaks the equality. Small
+    lookahead budgets cut the leaf stream into many chunks, so stretches
+    and fenced runs also stop at chunk ends; every run must still match
+    the reference engine bit for bit.
+    """
+    from repro.core import simulator
+
+    if lookahead is not None:
+        monkeypatch.setattr(simulator, "_LOOKAHEAD_ELEMENTS", lookahead)
+    merged = []
+    build = simulator._BatchedRunState._leaf_records
+
+    def spy(self, *args, **kwargs):
+        records = build(self, *args, **kwargs)
+        merged.append(records.elements)
+        return records
+
+    monkeypatch.setattr(simulator._BatchedRunState, "_leaf_records", spy)
+    for config, a, b, program in functional_cases():
+        if program is None:
+            program = WorkProgram.from_matrix(a)
+        merged.clear()
+        batched = GammaSimulator(config).run(a, b, program=program)
+        assert sum(merged) == leaf_input_elements(b, program, config.radix)
+        reference = ReferenceGammaSimulator(config).run(
+            a, b, program=program)
+        assert_results_identical(reference, batched)
 
 
 @pytest.mark.parametrize("seed", QUICK_SEEDS)
@@ -259,7 +360,7 @@ def test_deep_pair_forces_interior_cohorts():
 @pytest.mark.parametrize("multi_pe", (True, False),
                          ids=("multipe", "singlepe"))
 def test_lockstep_deep_trees(seed, name, semiring, multi_pe):
-    """Interior cohorts across semirings and scheduler modes."""
+    """Deep trees across semirings and scheduler modes."""
     a, b = deep_pair(seed)
     reference = ReferenceGammaSimulator(
         DEEP_CONFIG, multi_pe_scheduling=multi_pe,
@@ -272,7 +373,7 @@ def test_lockstep_deep_trees(seed, name, semiring, multi_pe):
 
 @pytest.mark.parametrize("seed", QUICK_SEEDS[:4])
 def test_lockstep_deep_partial_evictions(seed):
-    """Partial fibers spilled mid-cohort re-read from DRAM identically."""
+    """Spilled partial fibers re-read from DRAM identically."""
     a, b = deep_pair(seed)
     reference = ReferenceGammaSimulator(DEEP_CONFIG).run(a, b)
     batched = GammaSimulator(DEEP_CONFIG).run(a, b)
@@ -284,7 +385,7 @@ def test_lockstep_deep_partial_evictions(seed):
 
 @pytest.mark.parametrize("seed", QUICK_SEEDS[:4])
 def test_lockstep_deep_single_pe(seed):
-    """One PE serializes every cohort dispatch through the same queue."""
+    """One PE serializes leaf runs and interior merges alike."""
     config = GammaConfig(
         num_pes=1, radix=2, fibercache_bytes=1024,
         fibercache_ways=2, fibercache_banks=2,
@@ -300,7 +401,7 @@ def test_lockstep_deep_single_pe(seed):
 
 @pytest.mark.parametrize("seed", QUICK_SEEDS[:4])
 def test_lockstep_deep_trace(seed):
-    """Interior-epoch trace events match the reference field-for-field."""
+    """Deep-tree trace events match the reference field-for-field."""
     a, b = deep_pair(seed)
     traces = []
     for cls in (ReferenceGammaSimulator, GammaSimulator):

@@ -1,8 +1,5 @@
 """Tests for the cross-engine validation harness."""
 
-import numpy as np
-import pytest
-
 from repro.config import GammaConfig
 from repro.matrices import generators
 from repro.validation import cross_validate
