@@ -194,19 +194,13 @@ class CsrMatrix:
         counts = np.bincount(self.coords, minlength=cols)
         offsets = np.zeros(cols + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        new_coords = np.empty(self.nnz, dtype=np.int64)
-        new_values = np.empty(self.nnz, dtype=np.float64)
-        cursor = offsets[:-1].copy()
-        for row in range(rows):
-            start, end = self.offsets[row], self.offsets[row + 1]
-            for idx in range(start, end):
-                col = self.coords[idx]
-                pos = cursor[col]
-                new_coords[pos] = row
-                new_values[pos] = self.values[idx]
-                cursor[col] += 1
-        return CsrMatrix((cols, rows), offsets, new_coords, new_values,
-                         check=False)
+        # A stable sort by column keeps each column's entries in storage
+        # (row-major) order, so rows stay ascending within every column.
+        order = np.argsort(self.coords, kind="stable")
+        row_ids = np.repeat(np.arange(rows, dtype=np.int64),
+                            np.diff(self.offsets))
+        return CsrMatrix((cols, rows), offsets, row_ids[order],
+                         self.values[order], check=False)
 
     def permute_rows(self, permutation: Sequence[int]) -> "CsrMatrix":
         """Return a matrix whose row i is this matrix's row permutation[i]."""

@@ -5,7 +5,6 @@ from repro.preprocessing.pipeline import (
     preprocess,
     preprocess_with_report,
 )
-from repro.preprocessing.pqueue import IndexedMaxHeap
 from repro.preprocessing.reorder import affinity_reorder, reorder_for_gamma
 from repro.preprocessing.tiling import (
     RowFragment,
@@ -15,7 +14,6 @@ from repro.preprocessing.tiling import (
 )
 
 __all__ = [
-    "IndexedMaxHeap",
     "PreprocessReport",
     "RowFragment",
     "affinity_reorder",

@@ -14,7 +14,9 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.config import GammaConfig, PreprocessConfig
+import numpy as np
+
+from repro.config import ELEMENT_BYTES, GammaConfig, PreprocessConfig
 from repro.core.scheduler import WorkItem, WorkProgram
 from repro.matrices.csr import CsrMatrix
 from repro.matrices.fiber import Fiber
@@ -82,27 +84,28 @@ def preprocess_with_report(
         max(1, len(fragments) - 1),
     )
     reordered = False
+    order = list(range(len(fragments)))
     if options.reorder and len(fragments) > 2:
-        fragment_matrix = CsrMatrix.from_rows(
-            [Fiber(f.coords, f.values, check=False) for f in fragments],
-            a.num_cols,
-        )
-        order = affinity_reorder(fragment_matrix, window=window)
         # Greedy affinity can regress on hub-dominated graphs whose natural
         # order already has locality; keep whichever order a reuse-distance
         # model predicts fetches less of B. (The paper notes preprocessing
-        # is worth applying only when it pays, Sec. 6.3.)
-        natural = list(range(len(fragments)))
+        # is worth applying only when it pays, Sec. 6.3.) No order can
+        # beat the compulsory floor, so a natural order already at it
+        # needs no Algorithm 1 run.
         cost_natural = estimate_b_traffic(
-            fragments, natural, b, config.fibercache_bytes)
-        cost_reordered = estimate_b_traffic(
             fragments, order, b, config.fibercache_bytes)
-        if cost_reordered < cost_natural:
-            reordered = True
-        else:
-            order = natural
-    else:
-        order = list(range(len(fragments)))
+        if cost_natural > compulsory_b_traffic(a, b):
+            fragment_matrix = CsrMatrix.from_rows(
+                [Fiber(f.coords, f.values, check=False)
+                 for f in fragments],
+                a.num_cols,
+            )
+            greedy = affinity_reorder(fragment_matrix, window=window)
+            cost_reordered = estimate_b_traffic(
+                fragments, greedy, b, config.fibercache_bytes)
+            if cost_reordered < cost_natural:
+                reordered = True
+                order = greedy
 
     # --- Emit the program ----------------------------------------------
     part_counter: Counter = Counter()
@@ -142,18 +145,16 @@ def estimate_b_traffic(
     the stack are free, missing rows cost their bytes and evict from the
     cold end. O(nnz) — cheap enough to compare candidate orderings.
     """
-    from repro.config import ELEMENT_BYTES
-
     lru: OrderedDict = OrderedDict()
     resident_bytes = 0
     traffic = 0
-    lengths = b.row_lengths()
+    bytes_of_row = (b.row_lengths() * ELEMENT_BYTES).tolist()
     for index in order:
         for coord in fragments[index].coords.tolist():
-            row_bytes = int(lengths[coord]) * ELEMENT_BYTES
             if coord in lru:
                 lru.move_to_end(coord)
                 continue
+            row_bytes = bytes_of_row[coord]
             traffic += row_bytes
             lru[coord] = row_bytes
             resident_bytes += row_bytes
@@ -161,6 +162,18 @@ def estimate_b_traffic(
                 _, evicted = lru.popitem(last=False)
                 resident_bytes -= evicted
     return traffic
+
+
+def compulsory_b_traffic(a: CsrMatrix, b: CsrMatrix) -> int:
+    """Bytes of the distinct B rows A references: a floor on
+    :func:`estimate_b_traffic` for every order of A's fragments.
+
+    Fragments partition A's nonzeros, so they reference exactly A's
+    distinct column coordinates, and the LRU model misses on each of
+    those rows the first time any order touches it.
+    """
+    referenced = np.unique(a.coords)
+    return int(b.row_lengths()[referenced].sum()) * ELEMENT_BYTES
 
 
 def preprocessing_cost_estimate(a: CsrMatrix, window: int) -> float:

@@ -2,7 +2,8 @@
 
 The affinity-based reordering algorithm (paper Sec. 4.1) needs a priority
 queue over candidate rows supporting increment, decrement, removal, and
-pop-max — a classic addressable binary heap, implemented here from scratch.
+pop-max. Its keys are small affinity counts moved by +-1, so a bucket
+queue serves every operation in O(1) but pop's downward scan.
 """
 
 from __future__ import annotations
@@ -98,136 +99,3 @@ class BucketQueue:
             max_key -= 1
         return next(iter(self._buckets[max_key])), max_key
 
-
-class IndexedMaxHeap:
-    """Max-heap keyed by arbitrary hashable items with addressable updates.
-
-    Ties break toward the item inserted earliest, making the reordering
-    deterministic.
-    """
-
-    def __init__(self) -> None:
-        self._keys: List[float] = []
-        self._items: List[Hashable] = []
-        self._ages: List[int] = []
-        self._pos: Dict[Hashable, int] = {}
-        self._age_counter = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, item: Hashable) -> bool:
-        return item in self._pos
-
-    def insert(self, item: Hashable, key: float = 0.0) -> None:
-        """Add an item; raises if already present."""
-        if item in self._pos:
-            raise KeyError(f"{item!r} already in heap")
-        self._keys.append(key)
-        self._items.append(item)
-        self._ages.append(self._age_counter)
-        self._age_counter += 1
-        index = len(self._items) - 1
-        self._pos[item] = index
-        self._sift_up(index)
-
-    def key_of(self, item: Hashable) -> float:
-        return self._keys[self._pos[item]]
-
-    def inc_key(self, item: Hashable, delta: float = 1.0) -> None:
-        """Increase an item's key (Algorithm 1's incKey)."""
-        if delta < 0:
-            raise ValueError("inc_key requires a non-negative delta")
-        index = self._pos[item]
-        self._keys[index] += delta
-        self._sift_up(index)
-
-    def dec_key(self, item: Hashable, delta: float = 1.0) -> None:
-        """Decrease an item's key (Algorithm 1's decKey)."""
-        if delta < 0:
-            raise ValueError("dec_key requires a non-negative delta")
-        index = self._pos[item]
-        self._keys[index] -= delta
-        self._sift_down(index)
-
-    def remove(self, item: Hashable) -> None:
-        """Delete an item from the heap."""
-        index = self._pos[item]
-        self._swap(index, len(self._items) - 1)
-        self._drop_last()
-        if index < len(self._items):
-            self._sift_down(index)
-            self._sift_up(index)
-
-    def peek(self) -> Tuple[Hashable, float]:
-        """The max item and its key, without removing it."""
-        if not self._items:
-            raise IndexError("peek into an empty heap")
-        return self._items[0], self._keys[0]
-
-    def pop(self) -> Hashable:
-        """Remove and return the item with the maximum key."""
-        if not self._items:
-            raise IndexError("pop from an empty heap")
-        item = self._items[0]
-        self._swap(0, len(self._items) - 1)
-        self._drop_last()
-        if self._items:
-            self._sift_down(0)
-        return item
-
-    # ------------------------------------------------------------------
-    def _drop_last(self) -> None:
-        item = self._items.pop()
-        self._keys.pop()
-        self._ages.pop()
-        del self._pos[item]
-
-    def _precedes(self, i: int, j: int) -> bool:
-        """True when slot i should sit above slot j."""
-        if self._keys[i] != self._keys[j]:
-            return self._keys[i] > self._keys[j]
-        return self._ages[i] < self._ages[j]
-
-    def _swap(self, i: int, j: int) -> None:
-        self._keys[i], self._keys[j] = self._keys[j], self._keys[i]
-        self._items[i], self._items[j] = self._items[j], self._items[i]
-        self._ages[i], self._ages[j] = self._ages[j], self._ages[i]
-        self._pos[self._items[i]] = i
-        self._pos[self._items[j]] = j
-
-    def _sift_up(self, index: int) -> None:
-        while index > 0:
-            parent = (index - 1) // 2
-            if self._precedes(index, parent):
-                self._swap(index, parent)
-                index = parent
-            else:
-                return
-
-    def _sift_down(self, index: int) -> None:
-        size = len(self._items)
-        while True:
-            left = 2 * index + 1
-            right = left + 1
-            best = index
-            if left < size and self._precedes(left, best):
-                best = left
-            if right < size and self._precedes(right, best):
-                best = right
-            if best == index:
-                return
-            self._swap(index, best)
-            index = best
-
-    def validate(self) -> None:
-        """Check heap invariants (test helper)."""
-        for index in range(1, len(self._items)):
-            parent = (index - 1) // 2
-            if self._precedes(index, parent):
-                raise AssertionError(
-                    f"heap property violated at {index} vs parent {parent}"
-                )
-        for item, index in self._pos.items():
-            if self._items[index] != item:
-                raise AssertionError(f"position map stale for {item!r}")

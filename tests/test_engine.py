@@ -7,6 +7,7 @@ equal a serial sweep result-for-result. Small suite matrices keep the
 battery fast.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -255,3 +256,148 @@ class TestFacadeParity:
         (record,) = runner.sweep(points, serial=True)
         assert runner.gamma("wiki-Vote") is runner.gamma("wiki-Vote")
         assert runner.gamma("wiki-Vote") == record
+
+
+class TestProgramCache:
+    """Programs are stored as slices of A; bad entries are rebuilt."""
+
+    CONFIG = scaled_gamma_config()
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        from repro.engine import sweep
+
+        monkeypatch.setattr(sweep, "_PROGRAM_MEMO", {})
+        return sweep._PROGRAM_MEMO
+
+    @staticmethod
+    def layout(program):
+        return program.num_rows, program.num_cols, [
+            (item.row, item.part, item.num_parts, item.coords.dtype.str,
+             item.values.dtype.str, item.coords.tobytes(),
+             item.values.tobytes())
+            for item in program.items]
+
+    def built(self, matrix, variant):
+        from repro.engine.defaults import preprocess_options
+        from repro.preprocessing import preprocess
+
+        a, b = suite.operands(matrix)
+        return preprocess(a, b, self.CONFIG, preprocess_options(variant))
+
+    @pytest.mark.parametrize("variant", (
+        "full", "reorder", "reorder_tile_all"))
+    @pytest.mark.parametrize("matrix", ("email-Enron", "poisson3Da"))
+    def test_warm_load_equals_cold_build(self, matrix, variant, memo,
+                                         monkeypatch):
+        from repro import preprocessing
+        from repro.engine.sweep import cached_program, program_key
+
+        expected = self.layout(self.built(matrix, variant))
+        cold = cached_program(matrix, variant, self.CONFIG)
+        assert diskcache.contains(program_key(matrix, variant, self.CONFIG))
+        memo.clear()
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("warm load rebuilt the program")
+
+        monkeypatch.setattr(preprocessing, "preprocess", no_rebuild)
+        warm = cached_program(matrix, variant, self.CONFIG)
+        assert warm is not cold
+        assert self.layout(cold) == expected
+        assert self.layout(warm) == expected
+
+    def test_key_differs_from_the_coordinate_list_format(self):
+        from repro.engine import preprocess_config_key
+        from repro.engine.sweep import program_key
+
+        legacy = diskcache.cache_key(
+            "program", matrix="wiki-Vote", variant="full",
+            **preprocess_config_key(self.CONFIG))
+        assert program_key("wiki-Vote", "full", self.CONFIG) != legacy
+
+    @staticmethod
+    def out_of_range(payload, a):
+        payload["starts"][-1] += a.nnz
+        payload["ends"][-1] += a.nnz
+
+    @staticmethod
+    def empty(payload, a):
+        payload["starts"].insert(0, payload["starts"][0])
+        payload["ends"].insert(0, payload["starts"][0])
+
+    @staticmethod
+    def overlapping(payload, a):
+        payload["starts"].append(payload["starts"][0])
+        payload["ends"].append(payload["ends"][0])
+
+    @staticmethod
+    def crossing_a_row(payload, a):
+        """Merge a slice with the next row's first slice: the slices
+        still cover every nonzero exactly once."""
+        starts, ends = payload["starts"], payload["ends"]
+        boundaries = set(a.offsets[1:-1].tolist()) - {a.nnz}
+        first = next(i for i, end in enumerate(ends) if end in boundaries)
+        second = starts.index(ends[first])
+        ends[first] = ends[second]
+        del starts[second], ends[second]
+
+    @staticmethod
+    def with_gap(payload, a):
+        del payload["starts"][0], payload["ends"][0]
+
+    @staticmethod
+    def legacy_items(payload, a):
+        from repro.engine.sweep import program_from_slices
+
+        program = program_from_slices(payload, a)
+        payload.clear()
+        payload.update({
+            "items": [[item.row, item.part, item.num_parts,
+                       item.coords.tolist(), item.values.tolist()]
+                      for item in program.items],
+            "num_rows": program.num_rows, "num_cols": program.num_cols})
+
+    @pytest.mark.parametrize("corrupt", (
+        "out_of_range", "empty", "overlapping", "crossing_a_row",
+        "with_gap", "legacy_items"))
+    def test_invalid_entry_is_rebuilt(self, corrupt, memo):
+        import copy
+
+        from repro.engine.sweep import (cached_program, program_from_slices,
+                                        program_key)
+
+        matrix, variant = "email-Enron", "reorder_tile_all"
+        key = program_key(matrix, variant, self.CONFIG)
+        built = cached_program(matrix, variant, self.CONFIG)
+        good = diskcache.load(key)
+        bad = copy.deepcopy(good)
+        getattr(self, corrupt)(bad, suite.load(matrix))
+        assert program_from_slices(bad, suite.load(matrix)) is None
+        diskcache.store(key, bad)
+        memo.clear()
+        rebuilt = cached_program(matrix, variant, self.CONFIG)
+        assert self.layout(rebuilt) == self.layout(built)
+        assert diskcache.load(key) == good
+
+    @pytest.mark.parametrize("change, message", (
+        ("values", "values are not A's"),
+        ("reversed", "does not partition")))
+    def test_program_that_is_not_slices_of_a_is_refused(self, change,
+                                                        message):
+        from repro.core import WorkProgram
+        from repro.engine.sweep import program_slices
+
+        a = suite.load("wiki-Vote")
+        program = WorkProgram.from_matrix(a)
+        index = max(range(len(program.items)),
+                    key=lambda i: program.items[i].nnz)
+        item = program.items[index]
+        if change == "values":
+            item = dataclasses.replace(item, values=item.values * 2)
+        else:
+            item = dataclasses.replace(item, coords=item.coords[::-1],
+                                       values=item.values[::-1])
+        program.items[index] = item
+        with pytest.raises(ValueError, match=message):
+            program_slices(program, a)

@@ -1,13 +1,13 @@
-"""Unit tests for the addressable priority queues."""
+"""Unit tests for the addressable priority queue."""
 
 import random
 
 import pytest
 
-from repro.preprocessing.pqueue import BucketQueue, IndexedMaxHeap
+from repro.preprocessing.pqueue import BucketQueue
 
 
-@pytest.fixture(params=[IndexedMaxHeap, BucketQueue])
+@pytest.fixture(params=[BucketQueue])
 def queue(request):
     return request.param()
 
@@ -94,24 +94,6 @@ class TestCommonBehaviour:
             popped = queue.pop()
             assert reference[popped] == max(reference.values())
             del reference[popped]
-
-
-class TestHeapSpecific:
-    def test_validate(self):
-        heap = IndexedMaxHeap()
-        for i in range(50):
-            heap.insert(i, i % 7)
-        heap.validate()
-        heap.inc_key(3, 100)
-        heap.validate()
-        heap.remove(10)
-        heap.validate()
-
-    def test_float_keys(self):
-        heap = IndexedMaxHeap()
-        heap.insert("a", 1.5)
-        heap.insert("b", 1.6)
-        assert heap.pop() == "b"
 
 
 class TestBucketSpecific:

@@ -370,3 +370,179 @@ class TestTilingProperties:
         for coord, value in want.items():
             # Subrow merge order changes float summation order.
             assert got[coord] == pytest.approx(value, rel=1e-9), coord
+
+
+# --- Compulsory-floor short-circuit vs the always-reorder oracle -------
+
+from collections import Counter, OrderedDict  # noqa: E402
+
+from repro.config import ELEMENT_BYTES  # noqa: E402
+from repro.engine.defaults import (  # noqa: E402
+    MODEL_SCALE,
+    preprocess_options,
+    scaled_gamma_config,
+)
+from repro.figures.scopes import QUICK_MATRICES  # noqa: E402
+from repro.matrices import suite  # noqa: E402
+from repro.matrices.fiber import Fiber  # noqa: E402
+from repro.matrices.stats import window_size  # noqa: E402
+from repro.preprocessing import pipeline  # noqa: E402
+from repro.preprocessing.pipeline import (  # noqa: E402
+    PreprocessReport,
+    compulsory_b_traffic,
+)
+
+#: The Table 3 common set the cold-sweep benchmark runs (it leaves out
+#: cit-Patents, the slowest).
+SWEEP_MATRICES = [name for name in suite.common_set_names()
+                  if name != "cit-Patents"]
+
+#: The quick figure scope's FiberCache-size sweep (paper 0.75-12 MB at
+#: the model scale).
+CACHE_SIZES = tuple(int(mb * 1024 * 1024 / MODEL_SCALE)
+                    for mb in (0.75, 1.5, 3.0, 6.0, 12.0))
+
+
+def estimate_b_traffic_oracle(fragments, order, b, capacity_bytes):
+    """The LRU estimator indexing B's row lengths per touch."""
+    lru = OrderedDict()
+    resident_bytes = 0
+    traffic = 0
+    lengths = b.row_lengths()
+    for index in order:
+        for coord in fragments[index].coords.tolist():
+            row_bytes = int(lengths[coord]) * ELEMENT_BYTES
+            if coord in lru:
+                lru.move_to_end(coord)
+                continue
+            traffic += row_bytes
+            lru[coord] = row_bytes
+            resident_bytes += row_bytes
+            while resident_bytes > capacity_bytes and lru:
+                _, evicted = lru.popitem(last=False)
+                resident_bytes -= evicted
+    return traffic
+
+
+def preprocess_always_reorder(a, b, config, options):
+    """The pipeline without the floor short-circuit: every reorder
+    request builds the fragment matrix, runs Algorithm 1 and keeps the
+    greedy order only when its estimate beats the natural one."""
+    if options.tile:
+        fragments = tile_matrix(
+            a, b.nnz / max(1, b.num_rows), config,
+            threshold_fraction=options.tile_threshold_fraction,
+            threshold_bytes=options.tile_threshold_bytes,
+            selective=options.selective)
+    else:
+        fragments = [
+            RowFragment(row, a.coords[a.offsets[row]:a.offsets[row + 1]],
+                        a.values[a.offsets[row]:a.offsets[row + 1]])
+            for row in range(a.num_rows) if a.row_nnz(row)]
+    parts_per_row = Counter(frag.row for frag in fragments)
+    window = min(window_size(b, config.fibercache_bytes),
+                 max(1, len(fragments) - 1))
+    order = list(range(len(fragments)))
+    reordered = False
+    if options.reorder and len(fragments) > 2:
+        fragment_matrix = CsrMatrix.from_rows(
+            [Fiber(f.coords, f.values, check=False) for f in fragments],
+            a.num_cols)
+        greedy = affinity_reorder(fragment_matrix, window=window)
+        capacity = config.fibercache_bytes
+        if (estimate_b_traffic_oracle(fragments, greedy, b, capacity)
+                < estimate_b_traffic_oracle(fragments, order, b, capacity)):
+            order, reordered = greedy, True
+    seen = Counter()
+    items = []
+    for index in order:
+        frag = fragments[index]
+        items.append((frag.row, seen[frag.row], parts_per_row[frag.row],
+                      frag.coords.tobytes(), frag.values.tobytes()))
+        seen[frag.row] += 1
+    report = PreprocessReport(
+        num_rows=a.num_rows, num_fragments=len(fragments),
+        num_tiled_rows=sum(1 for n in parts_per_row.values() if n > 1),
+        reorder_window=window, reordered=reordered)
+    return items, report
+
+
+def assert_matches_oracle(a, b, config, options):
+    program, report = preprocess_with_report(a, b, config, options)
+    items = [(item.row, item.part, item.num_parts, item.coords.tobytes(),
+              item.values.tobytes()) for item in program.items]
+    want_items, want_report = preprocess_always_reorder(
+        a, b, config, options)
+    assert report == want_report
+    assert items == want_items
+
+
+class TestFloorShortCircuit:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", SWEEP_MATRICES)
+    def test_sweep_matrices_match_oracle(self, name):
+        a, b = suite.operands(name)
+        assert_matches_oracle(a, b, scaled_gamma_config(),
+                              preprocess_options("full"))
+
+    @pytest.mark.parametrize("cache_bytes", CACHE_SIZES)
+    @pytest.mark.parametrize("name", QUICK_MATRICES)
+    def test_quick_cache_sweep_matches_oracle(self, name, cache_bytes):
+        a, b = suite.operands(name)
+        config = scaled_gamma_config(fibercache_bytes=cache_bytes)
+        for variant in ("full", "reorder", "reorder_tile_all"):
+            assert_matches_oracle(a, b, config, preprocess_options(variant))
+
+    @PROPERTY
+    @given(pair=operand_pair(), capacity_kb=st.integers(1, 4),
+           options=st.sampled_from([
+               PreprocessConfig.full(), PreprocessConfig.reorder_only(),
+               PreprocessConfig.reorder_tile_all(),
+               PreprocessConfig(tile_threshold_bytes=16.0)]))
+    def test_random_operands_match_oracle(self, pair, capacity_kb,
+                                          options):
+        a, b = pair
+        config = GammaConfig(radix=4, fibercache_bytes=capacity_kb * 1024)
+        assert_matches_oracle(a, b, config, options)
+
+    @PROPERTY
+    @given(pair=operand_pair(),
+           capacity=st.integers(0, 300).map(lambda n: n * ELEMENT_BYTES),
+           seed=st.integers(0, 2**16))
+    def test_estimate_matches_oracle(self, pair, capacity, seed):
+        a, b = pair
+        fragments = [
+            RowFragment(row, a.coords[a.offsets[row]:a.offsets[row + 1]],
+                        a.values[a.offsets[row]:a.offsets[row + 1]])
+            for row in range(a.num_rows) if a.row_nnz(row)]
+        order = np.random.default_rng(seed).permutation(
+            len(fragments)).tolist()
+        got = estimate_b_traffic(fragments, order, b, capacity)
+        assert got == estimate_b_traffic_oracle(
+            fragments, order, b, capacity)
+        assert got >= compulsory_b_traffic(a, b)
+
+    @pytest.mark.parametrize("name, runs_reorder", [
+        ("poisson3Da", False), ("email-Enron", True)])
+    def test_reorder_runs_only_above_the_floor(self, name, runs_reorder,
+                                               monkeypatch):
+        calls = []
+        real = pipeline.affinity_reorder
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "affinity_reorder", spy)
+        a, b = suite.operands(name)
+        config = scaled_gamma_config(fibercache_bytes=49152)
+        options = preprocess_options("full")
+        fragments = tile_matrix(
+            a, b.nnz / b.num_rows, config,
+            threshold_bytes=options.tile_threshold_bytes)
+        natural = estimate_b_traffic(
+            fragments, range(len(fragments)), b, config.fibercache_bytes)
+        at_floor = natural == compulsory_b_traffic(a, b)
+        preprocess_with_report(a, b, config, options)
+        assert at_floor is not runs_reorder
+        assert len(calls) == int(runs_reorder)

@@ -12,10 +12,11 @@ from repro.matrices.builder import CooBuilder
 from repro.matrices.fiber import Fiber, linear_combine
 from repro.matrices.io import matrix_market_string, read_matrix_market
 from repro.preprocessing import affinity_reorder, split_row
-from repro.preprocessing.pqueue import BucketQueue, IndexedMaxHeap
+from repro.preprocessing.pqueue import BucketQueue
 from repro.preprocessing.reorder import is_permutation
 
 import io
+import itertools
 
 
 # ----------------------------------------------------------------------
@@ -163,35 +164,33 @@ class TestQueueProperties:
         max_size=200,
     ))
     @settings(max_examples=50)
-    def test_bucket_queue_matches_heap(self, ops):
-        bucket, heap = BucketQueue(), IndexedMaxHeap()
-        keys = {}
+    def test_bucket_queue_matches_dict_model(self, ops):
+        """A dict of keys, plus when each item entered its current key,
+        decides every pop: the maximal key, earliest arrival first."""
+        queue = BucketQueue()
+        keys, arrival = {}, {}
+        clock = itertools.count()
         for op, item in ops:
             if op == "insert" and item not in keys:
-                bucket.insert(item, 0)
-                heap.insert(item, 0)
+                queue.insert(item, 0)
                 keys[item] = 0
             elif op == "inc" and item in keys:
-                bucket.inc_key(item)
-                heap.inc_key(item)
+                queue.inc_key(item)
                 keys[item] += 1
             elif op == "dec" and item in keys and keys[item] > 0:
-                bucket.dec_key(item)
-                heap.dec_key(item)
+                queue.dec_key(item)
                 keys[item] -= 1
             elif op == "pop" and keys:
-                b = bucket.pop()
-                h = heap.pop()
-                # Both must return an item of maximal key.
-                assert keys[b] == max(keys.values())
-                assert keys[h] == keys[b]
-                if b != h:  # tie-break conventions may differ
-                    heap.insert(h, keys[h])
-                    heap.remove(b) if b in heap else None
-                    del keys[b]
-                    continue
-                del keys[b]
-        heap.validate()
+                expected = max(keys, key=lambda k: (keys[k], -arrival[k]))
+                assert queue.pop() == expected
+                del keys[expected], arrival[expected]
+                continue
+            else:
+                continue
+            arrival[item] = next(clock)
+        assert len(queue) == len(keys)
+        for item, key in keys.items():
+            assert queue.key_of(item) == key
 
 
 class TestSpgemmProperties:
