@@ -16,7 +16,7 @@ Run with no argument for the default (cop20k_A); any Table 3/4 name works
 import sys
 
 from repro.analysis.report import render_table
-from repro.experiments import RUNNER, scaled_gamma_config
+from repro.experiments import ExperimentRunner, scaled_gamma_config
 from repro.matrices import suite
 
 
@@ -32,22 +32,23 @@ def main() -> None:
           f"({scaled_gamma_config().fibercache_bytes // 1024} KB "
           f"FiberCache)\n")
 
-    compulsory = RUNNER.compulsory_total(name)
-    mkl = RUNNER.baseline("mkl", name)
+    runner = ExperimentRunner()
+    compulsory = runner.compulsory_total(name)
+    mkl = runner.baseline("mkl", name)
 
     rows = []
     for label, runtime, traffic in (
         ("MKL", mkl.runtime_seconds, mkl.total_traffic),
-        ("IP", RUNNER.baseline("ip", name).runtime_seconds,
-         RUNNER.baseline("ip", name).total_traffic),
-        ("OuterSPACE", RUNNER.baseline("outerspace", name).runtime_seconds,
-         RUNNER.baseline("outerspace", name).total_traffic),
-        ("SpArch", RUNNER.baseline("sparch", name).runtime_seconds,
-         RUNNER.baseline("sparch", name).total_traffic),
-        ("Gamma", RUNNER.gamma(name, "none").runtime_seconds,
-         RUNNER.gamma(name, "none").total_traffic),
-        ("Gamma+pre", RUNNER.gamma(name, "full").runtime_seconds,
-         RUNNER.gamma(name, "full").total_traffic),
+        ("IP", runner.baseline("ip", name).runtime_seconds,
+         runner.baseline("ip", name).total_traffic),
+        ("OuterSPACE", runner.baseline("outerspace", name).runtime_seconds,
+         runner.baseline("outerspace", name).total_traffic),
+        ("SpArch", runner.baseline("sparch", name).runtime_seconds,
+         runner.baseline("sparch", name).total_traffic),
+        ("Gamma", runner.gamma(name, "none").runtime_seconds,
+         runner.gamma(name, "none").total_traffic),
+        ("Gamma+pre", runner.gamma(name, "full").runtime_seconds,
+         runner.gamma(name, "full").total_traffic),
     ):
         rows.append([
             label,

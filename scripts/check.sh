@@ -23,10 +23,10 @@ fi
 
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff =="
-    ruff check src tests benchmarks examples
+    ruff check src tests examples
 elif python -c "import ruff" >/dev/null 2>&1; then
     echo "== ruff (module) =="
-    python -m ruff check src tests benchmarks examples
+    python -m ruff check src tests examples
 else
     echo "WARNING: ruff not installed; skipping lint" >&2
 fi

@@ -1,17 +1,17 @@
-"""Command-line interface: list and run the reproduced experiments.
+"""Command-line interface: the figure catalog, sweeps, reports, serving.
 
 Usage::
 
-    python -m repro list                 # every table/figure + its claim
-    python -m repro run fig12            # regenerate one artifact
-    python -m repro run fig12 table2 ... # several
+    python -m repro list                 # every figure + its paper claims
+    python -m repro run gmean_speedup    # print one figure's table
+    python -m repro run speedup traffic --scope common
     python -m repro suite                # the scaled matrix suites
-    python -m repro export out/ fig12    # write .txt/.csv/.json artifacts
     python -m repro sweep                # pre-warm the disk cache in parallel
     python -m repro sweep --set common --models gamma,mkl --workers 8
     python -m repro sweep --metrics --trace-dir out/   # telemetry-enabled
     python -m repro report out/                        # render run report
-    python -m repro figures --out figs/                # versioned figure set
+    python -m repro figures --out figs/                # figures + claims
+    python -m repro figures --out figs/ --only traffic # one figure
     python -m repro figures --check                    # drift-check vs goldens
     python -m repro profile gamma wiki-Vote            # cycle-level report
     python -m repro profile gamma gupta2 --variant full --trace out.jsonl
@@ -24,42 +24,55 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 from typing import List, Optional
 
 
 def _cmd_list() -> int:
-    from repro.experiments import EXPERIMENTS
+    from repro.figures import FIGURE_GENERATORS
 
-    width = max(len(e.experiment_id) for e in EXPERIMENTS)
-    for experiment in EXPERIMENTS:
-        print(f"{experiment.experiment_id:<{width}}  {experiment.title}")
-        print(f"{'':<{width}}  paper: {experiment.paper_claim}")
+    width = max(len(g.figure_id) for g in FIGURE_GENERATORS)
+    for generator in FIGURE_GENERATORS:
+        print(f"{generator.figure_id:<{width}}  {generator.title} "
+              f"({generator.paper_ref})")
+        for claim in generator.claims:
+            print(f"{'':<{width}}  claim [{','.join(claim.scopes)}]: "
+                  f"{claim.text}")
     return 0
 
 
-def _cmd_run(ids: List[str]) -> int:
-    from repro.experiments import all_experiment_ids, run_experiment
+def _catalog_error(ids: List[str], scope: str) -> Optional[str]:
+    """Why the catalog cannot run ``ids`` at ``scope``, if it cannot."""
+    from repro.figures import SCOPES, figure_ids
+
+    unknown = [figure_id for figure_id in ids
+               if figure_id not in figure_ids()]
+    if unknown:
+        return (f"unknown figure id(s): {', '.join(unknown)}; "
+                "see 'repro list'")
+    if scope not in SCOPES:
+        return (f"unknown scope {scope!r}; "
+                f"choose from {', '.join(sorted(SCOPES))}")
+    return None
+
+
+def _cmd_run(ids: List[str], scope: str) -> int:
+    from repro.experiments import ExperimentRunner
+    from repro.figures import figure_ids, get_generator, get_scope
 
     if not ids:
-        print("no experiment ids given; try: "
-              f"{', '.join(all_experiment_ids())}", file=sys.stderr)
+        print(f"no figure ids given; try: {', '.join(figure_ids())}",
+              file=sys.stderr)
         return 2
-    for experiment_id in ids:
-        result = run_experiment(experiment_id)
-        print(result["table"])
+    error = _catalog_error(ids, scope)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    runner = ExperimentRunner()
+    for figure_id in ids:
+        figure = get_generator(figure_id).build(get_scope(scope), runner)
+        print(figure["table"])
         print()
-    return 0
-
-
-def _cmd_export(directory: str, ids: List[str]) -> int:
-    from repro.experiments import all_experiment_ids
-    from repro.experiments.export import export_experiment
-
-    targets = ids or all_experiment_ids()
-    for experiment_id in targets:
-        written = export_experiment(experiment_id, directory)
-        for path in written:
-            print(f"wrote {path}")
     return 0
 
 
@@ -164,9 +177,6 @@ def _cmd_sweep(args) -> int:
     if fault_counts:
         summary += "; faults: " + ", ".join(
             f"{name}={value}" for name, value in fault_counts.items())
-    trajectory = _hotpath_trajectory()
-    if trajectory:
-        summary += f"; hot-path wall before/after: {trajectory}"
     print(summary)
     if result.quarantined:
         print(f"QUARANTINED {len(result.quarantined)} point(s) — "
@@ -178,38 +188,6 @@ def _cmd_sweep(args) -> int:
                   file=sys.stderr)
         return 3
     return 0
-
-
-def _hotpath_trajectory() -> str:
-    """The recorded before/after aggregate from BENCH_hotpath.json, if any.
-
-    ``scripts/bench_hotpath.py --combine`` pins the hot-path wall-clock
-    trajectory of the simulator kernels; surfacing it next to the live
-    sweep wall keeps perf regressions visible from the CLI.
-    """
-    import json
-    from pathlib import Path
-
-    candidates = [
-        Path("BENCH_hotpath.json"),
-        Path(__file__).resolve().parents[2] / "BENCH_hotpath.json",
-    ]
-    for path in candidates:
-        try:
-            report = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        comparison = report.get("comparison") or {}
-        before = comparison.get("before_wall_s_total")
-        after = comparison.get("after_wall_s_total")
-        speedup = comparison.get("aggregate_speedup")
-        if before is None or after is None:
-            continue
-        text = f"{before:.2f}s -> {after:.2f}s"
-        if speedup:
-            text += f" ({speedup:.2f}x)"
-        return text
-    return ""
 
 
 def _apply_engine(model: str, engine: str) -> str:
@@ -278,54 +256,68 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _print_failures(header: str, problems: List[str]) -> int:
+    """Print ``problems`` under ``header`` to stderr; exit status 1."""
+    print(header, file=sys.stderr)
+    for problem in problems:
+        print(f"  {problem}", file=sys.stderr)
+    return 1
+
+
 def _cmd_figures(args) -> int:
+    from repro.experiments import ExperimentRunner
     from repro.figures import (
-        FIGURE_GENERATORS,
         GOLDEN_FIGURES_DIR,
-        SCOPES,
+        GOLDEN_SCOPE,
+        MANIFEST_FILENAME,
+        check_claims,
         check_figures,
+        figure_ids,
         generate_figures,
+        get_generator,
+        load_manifest,
     )
 
-    if args.list:
-        width = max(len(g.figure_id) for g in FIGURE_GENERATORS)
-        for generator in FIGURE_GENERATORS:
-            print(f"{generator.figure_id:<{width}}  {generator.title} "
-                  f"({generator.paper_ref})")
-        return 0
     only = args.only or None
-    if only:
-        known = {g.figure_id for g in FIGURE_GENERATORS}
-        unknown = [figure_id for figure_id in only
-                   if figure_id not in known]
-        if unknown:
-            print(f"error: unknown figure id(s): {', '.join(unknown)}; "
-                  f"see 'repro figures --list'", file=sys.stderr)
-            return 2
-    if args.scope not in SCOPES:
-        print(f"error: unknown scope {args.scope!r}; "
-              f"choose from {', '.join(sorted(SCOPES))}", file=sys.stderr)
+    scope = args.scope or GOLDEN_SCOPE
+    error = _catalog_error(only or [], scope)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     if args.check:
         golden = args.golden or GOLDEN_FIGURES_DIR
-        drifts = check_figures(golden_dir=golden, only=only,
-                               workdir=args.out)
-        if drifts:
-            print(f"figure drift against goldens in {golden}:",
-                  file=sys.stderr)
-            for drift in drifts:
-                print(f"  {drift}", file=sys.stderr)
-            return 1
-        print(f"figures match goldens in {golden}")
+        if args.scope and (Path(golden) / MANIFEST_FILENAME).is_file():
+            golden_scope = load_manifest(golden)["scope"]
+            if args.scope != golden_scope:
+                print(f"error: --check compares against goldens at scope "
+                      f"{golden_scope!r}, not {args.scope!r}; check that "
+                      f"scope's claims with 'repro figures --scope "
+                      f"{args.scope}'", file=sys.stderr)
+                return 2
+        problems = check_figures(golden_dir=golden, only=only,
+                                 workdir=args.out)
+        if problems:
+            return _print_failures(
+                f"figure check failed against {golden}:", problems)
+        print(f"figures match goldens in {golden}; their claims hold")
         return 0
     out_dir = args.out or "figures"
-    manifest = generate_figures(out_dir, scope=args.scope, only=only)
+    runner = ExperimentRunner()
+    manifest = generate_figures(out_dir, scope=scope, only=only,
+                                runner=runner)
     for entry in manifest["figures"]:
         print(f"wrote {entry['id']}: {entry['spec']} + {entry['data']} "
               f"({entry['rows']} rows)")
     print(f"wrote manifest for {manifest['num_figures']} figure(s) "
           f"[scope {manifest['scope']}, inputs "
           f"{manifest['inputs_fingerprint'][:12]}] to {out_dir}")
+    failures = check_claims(scope, runner, only)
+    if failures:
+        return _print_failures(
+            f"paper claims that fail at {scope} scope:", failures)
+    declared = sum(scope in claim.scopes for figure_id in only or figure_ids()
+                   for claim in get_generator(figure_id).claims)
+    print(f"all {declared} paper claim(s) declared at {scope} scope hold")
     return 0
 
 
@@ -357,12 +349,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_suite() -> int:
-    from repro.experiments import run_experiment
-
-    for table in ("table3", "table4"):
-        print(run_experiment(table)["table"])
-        print()
-    return 0
+    return _cmd_run(["suite"], "common") or _cmd_run(["suite"], "extended")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -371,14 +358,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Gamma (ASPLOS'21) reproduction experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list every reproduced table/figure")
-    run_parser = sub.add_parser("run", help="regenerate artifacts")
-    run_parser.add_argument("ids", nargs="*", help="experiment ids")
-    export_parser = sub.add_parser(
-        "export", help="write artifacts as .txt/.csv/.json")
-    export_parser.add_argument("directory")
-    export_parser.add_argument("ids", nargs="*",
-                               help="experiment ids (default: all)")
+    sub.add_parser(
+        "list", help="list the figure catalog and each figure's claims")
+    run_parser = sub.add_parser(
+        "run", help="print the tables of catalog figures")
+    run_parser.add_argument("ids", nargs="*", help="figure ids")
+    run_parser.add_argument(
+        "--scope", default="quick",
+        help="matrix scope: quick, common, extended, or paper "
+             "(default: quick)")
     sub.add_parser("suite", help="print the scaled matrix suites")
     sweep_parser = sub.add_parser(
         "sweep",
@@ -462,29 +450,29 @@ def main(argv: Optional[List[str]] = None) -> int:
     figures_parser = sub.add_parser(
         "figures",
         help="emit the paper's figures as versioned Vega-Lite + CSV "
-             "artifacts, or drift-check them against committed goldens")
+             "artifacts and check their claims, or drift-check them "
+             "against committed goldens")
     figures_parser.add_argument(
         "--out", metavar="DIR", default=None,
         help="output directory (default: figures/; with --check, a "
              "scratch directory for the regenerated set)")
     figures_parser.add_argument(
-        "--scope", default="quick",
+        "--scope", default=None,
         help="matrix scope: quick, common, extended, or paper "
-             "(default: quick — the committed golden scope)")
+             "(default: quick — the committed golden scope; --check "
+             "only takes the goldens' scope)")
     figures_parser.add_argument(
         "--only", action="append", metavar="ID",
-        help="restrict to one figure id (repeatable); see --list")
+        help="restrict to one figure id (repeatable); see 'repro list'")
     figures_parser.add_argument(
         "--check", action="store_true",
-        help="regenerate and byte-compare against the committed goldens; "
-             "exit 1 naming each drifted figure")
+        help="regenerate and byte-compare against the committed "
+             "goldens, and check the claims declared at their scope; "
+             "exit 1 naming each drifted figure or failed claim")
     figures_parser.add_argument(
         "--golden", metavar="DIR", default=None,
         help="golden directory for --check "
              "(default: tests/golden/figures)")
-    figures_parser.add_argument(
-        "--list", action="store_true",
-        help="list the figure catalog and exit")
     profile_parser = sub.add_parser(
         "profile",
         help="run one point instrumented and print the cycle-level report")
@@ -555,9 +543,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":
-        return _cmd_run(args.ids)
-    if args.command == "export":
-        return _cmd_export(args.directory, args.ids)
+        return _cmd_run(args.ids, args.scope)
     if args.command == "suite":
         return _cmd_suite()
     if args.command == "sweep":

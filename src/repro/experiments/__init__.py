@@ -1,33 +1,19 @@
-"""Experiment harness: every paper table and figure, regenerable."""
+"""Experiment harness: the runner and builders behind the figure catalog."""
 
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    Experiment,
-    all_experiment_ids,
-    get_experiment,
-    run_experiment,
-)
 from repro.engine import RunRecord, SweepPoint, plan_sweep, run_sweep
 from repro.experiments.runner import (
     MODEL_SCALE,
-    RUNNER,
     ExperimentRunner,
     scaled_cpu_config,
     scaled_gamma_config,
 )
 
 __all__ = [
-    "EXPERIMENTS",
-    "Experiment",
     "ExperimentRunner",
     "MODEL_SCALE",
-    "RUNNER",
     "RunRecord",
     "SweepPoint",
-    "all_experiment_ids",
-    "get_experiment",
     "plan_sweep",
-    "run_experiment",
     "run_sweep",
     "scaled_cpu_config",
     "scaled_gamma_config",

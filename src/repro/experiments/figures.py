@@ -1,15 +1,9 @@
-"""One function per paper table/figure, producing its data and a text table.
+"""One builder per paper figure/table family: its data and a text table.
 
-Every figure is built in two layers:
-
-* a **row/figure builder** (``speedup_figure``, ``traffic_figure``, ...)
-  parameterized by the matrix set and an
-  :class:`~repro.experiments.runner.ExperimentRunner` — the versioned
-  figure pipeline (:mod:`repro.figures`) calls these directly with its
-  own runner and scope, and
-* the zero-argument ``figN()``/``tableN()`` entry points the experiment
-  registry exposes, which bind the paper's matrix sets and the shared
-  module runner.
+Each builder is parameterized by the matrix set and an
+:class:`~repro.experiments.runner.ExperimentRunner`; the figure catalog
+(:mod:`repro.figures.generators`) binds them to a scope and checks the
+paper's claims against what they return.
 
 Each builder returns a dict with at least:
 
@@ -28,7 +22,7 @@ reviewable in one artifact.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.analysis.area import (
     gamma_area,
@@ -55,7 +49,6 @@ from repro.analysis.roofline import (
 from repro.config import GammaConfig
 from repro.experiments.runner import (
     MODEL_SCALE,
-    RUNNER,
     ExperimentRunner,
     scaled_gamma_config,
 )
@@ -97,10 +90,6 @@ PREPROCESS_ABLATION: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def _resolve(runner: Optional[ExperimentRunner]) -> ExperimentRunner:
-    return runner if runner is not None else RUNNER
-
-
 def _breakdown(name: str, traffic: Dict[str, int],
                runner: ExperimentRunner) -> Dict[str, float]:
     compulsory = runner.compulsory_total(name)
@@ -112,14 +101,10 @@ def _design_labels(designs) -> List[str]:
     return [label for label, _ in designs]
 
 
-# ----------------------------------------------------------------------
-# Parameterized figure builders (the pipeline's entry points)
-# ----------------------------------------------------------------------
 def speedup_figure(names: Sequence[str], figure: str,
-                   runner: Optional[ExperimentRunner] = None,
+                   runner: ExperimentRunner,
                    designs=CROSS_MODEL_DESIGNS) -> Dict:
     """Per-matrix speedup over MKL for every comparable design."""
-    runner = _resolve(runner)
     rows = []
     for name in names:
         row: Dict[str, object] = {"matrix": name}
@@ -151,10 +136,9 @@ def speedup_figure(names: Sequence[str], figure: str,
 
 
 def traffic_figure(names: Sequence[str], figure: str,
-                   runner: Optional[ExperimentRunner] = None,
+                   runner: ExperimentRunner,
                    designs=CROSS_MODEL_DESIGNS) -> Dict:
     """Per-matrix DRAM traffic normalized to compulsory, every design."""
-    runner = _resolve(runner)
     rows = []
     for name in names:
         row: Dict[str, object] = {"matrix": name}
@@ -185,10 +169,9 @@ def traffic_figure(names: Sequence[str], figure: str,
 
 
 def gmean_speedup_figure(names: Sequence[str], figure: str,
-                         runner: Optional[ExperimentRunner] = None,
+                         runner: ExperimentRunner,
                          designs=CROSS_MODEL_DESIGNS) -> Dict:
     """Suite-level gmean speedup over MKL per design (paper Fig. 10)."""
-    runner = _resolve(runner)
     rows = []
     for label, fetch in designs:
         speedups = [
@@ -215,10 +198,9 @@ def gmean_speedup_figure(names: Sequence[str], figure: str,
 
 
 def breakdown_figure(names: Sequence[str], figure: str,
-                     runner: Optional[ExperimentRunner] = None,
+                     runner: ExperimentRunner,
                      designs=BREAKDOWN_DESIGNS) -> Dict:
     """Stacked traffic breakdown (A/B/C/partial) per matrix x design."""
-    runner = _resolve(runner)
     rows = []
     for name in names:
         for label, fetch in designs:
@@ -250,9 +232,8 @@ def breakdown_figure(names: Sequence[str], figure: str,
 
 
 def bandwidth_figure(names: Sequence[str], figure: str,
-                     runner: Optional[ExperimentRunner] = None) -> Dict:
+                     runner: ExperimentRunner) -> Dict:
     """G/GP memory-bandwidth utilization per matrix."""
-    runner = _resolve(runner)
     rows = []
     for name in names:
         rows.append({
@@ -282,9 +263,8 @@ def bandwidth_figure(names: Sequence[str], figure: str,
 
 
 def cache_util_figure(names: Sequence[str], figure: str,
-                      runner: Optional[ExperimentRunner] = None) -> Dict:
+                      runner: ExperimentRunner) -> Dict:
     """FiberCache utilization split by fiber type, G and GP."""
-    runner = _resolve(runner)
     rows = []
     for name in names:
         util_g = runner.gamma(name, "none").cache_utilization
@@ -315,10 +295,9 @@ def cache_util_figure(names: Sequence[str], figure: str,
 
 
 def preprocessing_figure(names: Sequence[str], figure: str,
-                         runner: Optional[ExperimentRunner] = None,
+                         runner: ExperimentRunner,
                          variants=PREPROCESS_ABLATION) -> Dict:
     """Preprocessing ablation: traffic breakdown per variant."""
-    runner = _resolve(runner)
     rows = []
     for name in names:
         for label, variant in variants:
@@ -350,9 +329,8 @@ def preprocessing_figure(names: Sequence[str], figure: str,
 
 
 def scheduling_figure(name: str, figure: str,
-                      runner: Optional[ExperimentRunner] = None) -> Dict:
+                      runner: ExperimentRunner) -> Dict:
     """Multi-PE vs single-PE-per-row scheduling on one matrix."""
-    runner = _resolve(runner)
     multi = runner.gamma(name, "none", multi_pe=True)
     single = runner.gamma(name, "none", multi_pe=False)
     rows = []
@@ -388,9 +366,8 @@ def scheduling_figure(name: str, figure: str,
 
 
 def roofline_figure(names: Sequence[str], figure: str,
-                    runner: Optional[ExperimentRunner] = None) -> Dict:
+                    runner: ExperimentRunner) -> Dict:
     """Roofline placement of every matrix, G and GP variants."""
-    runner = _resolve(runner)
     points = []
     for name in names:
         for variant in ("none", "full"):
@@ -426,9 +403,8 @@ def roofline_figure(names: Sequence[str], figure: str,
 
 def _sweep_figure(names: Sequence[str], figure: str,
                   configs: Dict[str, GammaConfig],
-                  runner: Optional[ExperimentRunner] = None,
+                  runner: ExperimentRunner,
                   config_field: str = "config") -> Dict:
-    runner = _resolve(runner)
     rows = []
     for label, config in configs.items():
         speedups, traffic, bandwidth = [], [], []
@@ -462,7 +438,7 @@ def _sweep_figure(names: Sequence[str], figure: str,
 
 
 def pe_sweep_figure(names: Sequence[str], figure: str,
-                    runner: Optional[ExperimentRunner] = None) -> Dict:
+                    runner: ExperimentRunner) -> Dict:
     configs = {
         str(pes): scaled_gamma_config(num_pes=pes)
         for pes in (8, 16, 32, 64, 128)
@@ -472,7 +448,7 @@ def pe_sweep_figure(names: Sequence[str], figure: str,
 
 
 def cache_sweep_figure(names: Sequence[str], figure: str,
-                       runner: Optional[ExperimentRunner] = None) -> Dict:
+                       runner: ExperimentRunner) -> Dict:
     # Paper sizes 0.75 / 1.5 / 3 / 6 / 12 MB, divided by the model scale.
     configs = {}
     for paper_mb in (0.75, 1.5, 3.0, 6.0, 12.0):
@@ -484,7 +460,7 @@ def cache_sweep_figure(names: Sequence[str], figure: str,
 
 
 def spmv_figure(names: Sequence[str], figure: str,
-                runner: Optional[ExperimentRunner] = None) -> Dict:
+                runner: ExperimentRunner) -> Dict:
     """GUST-style SpMV on the Gamma core: spMspV vs dense-vector SpMV.
 
     Extension beyond the paper: the ``gamma-spmv`` model collapses the
@@ -492,7 +468,6 @@ def spmv_figure(names: Sequence[str], figure: str,
     (sparse vs dense vector), not speedup over MKL — SpMV is a
     different operation from the SpGEMM the other figures measure.
     """
-    runner = _resolve(runner)
     rows = []
     for name in names:
         for operand in ("sparse-vector", "dense-vector"):
@@ -528,11 +503,10 @@ def spmv_figure(names: Sequence[str], figure: str,
 
 
 def energy_figure(names: Sequence[str], figure: str,
-                  runner: Optional[ExperimentRunner] = None) -> Dict:
+                  runner: ExperimentRunner) -> Dict:
     """Energy comparison across designs (parametric model)."""
     from repro.analysis.energy import estimate_energy
 
-    runner = _resolve(runner)
     designs = {
         "OuterSPACE": lambda n: runner.baseline("outerspace", n),
         "SpArch": lambda n: runner.baseline("sparch", n),
@@ -573,8 +547,7 @@ def energy_figure(names: Sequence[str], figure: str,
             "chart": render_chart(chart_data)}
 
 
-def suite_figure(specs, title: str,
-                 runner: Optional[ExperimentRunner] = None) -> Dict:
+def suite_figure(specs, title: str) -> Dict:
     """Matrix-suite characteristics table (paper Tables 3/4)."""
     rows = []
     for spec in specs:
@@ -660,37 +633,6 @@ def area_figure(figure: str = "Table 2") -> Dict:
             "chart_data": chart_data, "chart": render_chart(chart_data)}
 
 
-def config_figure(figure: str = "Table 1") -> Dict:
-    """The evaluated configuration (and its scaled twin)."""
-    paper = GammaConfig()
-    scaled = scaled_gamma_config()
-    rows = [
-        {"parameter": "PEs", "paper": paper.num_pes,
-         "scaled": scaled.num_pes},
-        {"parameter": "PE radix", "paper": paper.radix,
-         "scaled": scaled.radix},
-        {"parameter": "FiberCache (KB)",
-         "paper": paper.fibercache_bytes // 1024,
-         "scaled": scaled.fibercache_bytes // 1024},
-        {"parameter": "FiberCache ways", "paper": paper.fibercache_ways,
-         "scaled": scaled.fibercache_ways},
-        {"parameter": "Banks", "paper": paper.fibercache_banks,
-         "scaled": scaled.fibercache_banks},
-        {"parameter": "Frequency (GHz)",
-         "paper": paper.frequency_hz / 1e9,
-         "scaled": scaled.frequency_hz / 1e9},
-        {"parameter": "Memory BW (GB/s)",
-         "paper": paper.memory_bandwidth_bytes_per_s / 1e9,
-         "scaled": scaled.memory_bandwidth_bytes_per_s / 1e9},
-    ]
-    table = render_table(
-        ["parameter", "paper", "scaled model"],
-        [[r["parameter"], r["paper"], r["scaled"]] for r in rows],
-        title=f"{figure}: configuration (model scale 1/{MODEL_SCALE})",
-    )
-    return {"rows": rows, "table": table}
-
-
 def dataflows_figure(names: Sequence[str], figure: str) -> Dict:
     """Per-dataflow work counts on a sparse vs denser input (Sec. 2.2)."""
     from repro.baselines.dataflows import compare_dataflows
@@ -730,11 +672,10 @@ def dataflows_figure(names: Sequence[str], figure: str) -> Dict:
 
 
 def matraptor_figure(names: Sequence[str], figure: str,
-                     runner: Optional[ExperimentRunner] = None) -> Dict:
+                     runner: ExperimentRunner) -> Dict:
     """MatRaptor vs Gamma: Gustavson without B reuse (Sec. 7)."""
     from repro.baselines.matraptor import run_matraptor_model
 
-    runner = _resolve(runner)
     rows = []
     for name in names:
         a, b = suite.operands(name)
@@ -778,123 +719,3 @@ def matraptor_figure(names: Sequence[str], figure: str,
     )
     return {"rows": rows, "table": table, "chart_data": chart_data,
             "chart": render_chart(chart_data)}
-
-
-# ----------------------------------------------------------------------
-# Registry entry points: the paper's figures on the paper's matrix sets
-# ----------------------------------------------------------------------
-def fig3() -> Dict:
-    """Fig. 3: traffic of IP/OS/S/G/GP on gupta2 and web-Google."""
-    return breakdown_figure(("gupta2", "web-Google"), "Fig. 3")
-
-
-def fig10() -> Dict:
-    """Fig. 10: gmean speedup over MKL on the common set."""
-    return gmean_speedup_figure(suite.common_set_names(), "Fig. 10")
-
-
-def fig11() -> Dict:
-    return speedup_figure(suite.common_set_names(), "Fig. 11")
-
-
-def fig12() -> Dict:
-    return traffic_figure(suite.common_set_names(), "Fig. 12")
-
-
-def fig13() -> Dict:
-    return bandwidth_figure(suite.common_set_names(), "Fig. 13")
-
-
-def fig14() -> Dict:
-    return cache_util_figure(suite.common_set_names(), "Fig. 14")
-
-
-def fig15() -> Dict:
-    return speedup_figure(suite.extended_set_names(), "Fig. 15")
-
-
-def fig16() -> Dict:
-    return traffic_figure(suite.extended_set_names(), "Fig. 16")
-
-
-def fig17() -> Dict:
-    return bandwidth_figure(suite.extended_set_names(), "Fig. 17")
-
-
-def fig18() -> Dict:
-    return cache_util_figure(suite.extended_set_names(), "Fig. 18")
-
-
-def fig19() -> Dict:
-    """Fig. 19: preprocessing ablation on Maragal_7 and sme3Db."""
-    return preprocessing_figure(("Maragal_7", "sme3Db"), "Fig. 19")
-
-
-def fig20() -> Dict:
-    """Fig. 20: multi-PE vs single-PE-per-row scheduling."""
-    return scheduling_figure("email-Enron", "Fig. 20")
-
-
-def fig21() -> Dict:
-    """Fig. 21: roofline placement of every matrix, G and GP."""
-    return roofline_figure(
-        suite.common_set_names() + suite.extended_set_names(),
-        "Fig. 21")
-
-
-def fig22() -> Dict:
-    return pe_sweep_figure(suite.common_set_names(),
-                           "Fig. 22 (common set)")
-
-
-def fig23() -> Dict:
-    return pe_sweep_figure(suite.extended_set_names(),
-                           "Fig. 23 (extended set)")
-
-
-def fig24() -> Dict:
-    return cache_sweep_figure(suite.common_set_names(),
-                              "Fig. 24 (common set)")
-
-
-def fig25() -> Dict:
-    return cache_sweep_figure(suite.extended_set_names(),
-                              "Fig. 25 (extended set)")
-
-
-def table1() -> Dict:
-    return config_figure("Table 1")
-
-
-def table2() -> Dict:
-    return area_figure("Table 2")
-
-
-def table3() -> Dict:
-    return suite_figure(
-        suite.COMMON_SET,
-        f"Table 3: common set (scaled stand-ins, 1/{MODEL_SCALE} rows)")
-
-
-def table4() -> Dict:
-    return suite_figure(
-        suite.EXTENDED_SET,
-        "Table 4: extended set (scaled stand-ins)")
-
-
-def ext_matraptor() -> Dict:
-    """Sec. 7 discussion, quantified: MatRaptor vs Gamma, common set."""
-    return matraptor_figure(suite.common_set_names(),
-                            "Extension (Sec. 7)")
-
-
-def ext_dataflows() -> Dict:
-    """Sec. 2.2 quantified: per-dataflow work counts."""
-    return dataflows_figure(
-        ("p2p-Gnutella31", "wiki-Vote", "poisson3Da"),
-        "Extension (Sec. 2.2)")
-
-
-def ext_energy() -> Dict:
-    """Extension: energy comparison across designs (parametric model)."""
-    return energy_figure(suite.common_set_names(), "Extension")

@@ -39,7 +39,6 @@ from repro.matrices import suite
 __all__ = [
     "MODEL_SCALE",
     "PREPROCESS_VARIANTS",
-    "RUNNER",
     "SCALED_FIBERCACHE_BYTES",
     "TILE_THRESHOLD_BYTES",
     "ExperimentRunner",
@@ -61,7 +60,7 @@ class ExperimentRunner:
 
         The figure pipeline fingerprints its inputs from exactly this
         mapping (point label x record fingerprint), which is why it
-        runs on a fresh runner instead of the shared module one.
+        runs on a fresh runner.
         """
         return dict(self._records)
 
@@ -144,7 +143,3 @@ class ExperimentRunner:
     def speedup_over_mkl(self, name: str, runtime_seconds: float) -> float:
         mkl = self.baseline("mkl", name)
         return mkl.runtime_seconds / runtime_seconds
-
-
-#: Shared module-level runner so every figure reuses the same sweeps.
-RUNNER = ExperimentRunner()

@@ -11,17 +11,23 @@ plotting dependency) plus the tidy ``<id>.csv`` it references, under a
 schema-versioned, checksummed ``figures_manifest.json``
 (:mod:`repro.figures.manifest`).
 
-``python -m repro figures`` drives :mod:`repro.figures.pipeline`;
-``--check`` regenerates against the committed goldens in
-``tests/golden/figures/`` and fails naming the drifted figure — the
-guard that makes every perf/model change reviewable as an artifact
-diff. ``python -m repro report`` embeds a sweep-derived figure set
+Each generator also carries the paper claims its figure supports
+(:class:`~repro.figures.generators.Claim`: text citing the paper value,
+a predicate over the figure's rows, and the scopes where it must hold).
+
+``python -m repro figures`` drives :mod:`repro.figures.pipeline` and
+then checks the claims declared at its scope; ``--check`` regenerates
+against the committed goldens in ``tests/golden/figures/`` and fails
+naming the drifted figure or the failed claim — the guard that makes
+every perf/model change reviewable as an artifact diff.
+``python -m repro report`` embeds a sweep-derived figure set
 (:mod:`repro.figures.from_summary`) built purely from the
 deterministic roll-up, preserving serial/parallel byte-identity.
 """
 
 from repro.figures.generators import (
     FIGURE_GENERATORS,
+    Claim,
     FigureGenerator,
     figure_ids,
     get_generator,
@@ -38,6 +44,7 @@ from repro.figures.manifest import (
 )
 from repro.figures.pipeline import (
     GOLDEN_FIGURES_DIR,
+    check_claims,
     check_figures,
     csv_bytes,
     generate_figures,
@@ -66,9 +73,11 @@ __all__ = [
     "QUICK_MATRICES",
     "REPORT_FIGURES_SUBDIR",
     "SCOPES",
+    "Claim",
     "FigureGenerator",
     "FigureScope",
     "build_manifest",
+    "check_claims",
     "check_figures",
     "csv_bytes",
     "figure_ids",

@@ -7,11 +7,15 @@ canonical byte form (sorted-key JSON, ``\\n`` line endings, numbers
 through :mod:`repro.obs.numfmt`), so the directory is diffable and
 byte-reproducible anywhere.
 
+:func:`check_claims` evaluates the paper claims each generator carries
+(:class:`~repro.figures.generators.Claim`) at one scope. It runs beside
+:func:`generate_figures`, never inside it, and writes no file.
+
 :func:`check_figures` is the drift guard: it regenerates the set into a
-scratch directory and compares it byte-for-byte against a committed
-golden directory, returning human-readable drift messages that name the
-figure id — the CI hook that turns any perf/model change into a
-reviewable artifact diff.
+scratch directory, compares it byte-for-byte against a committed golden
+directory and checks the claims declared at the golden scope, returning
+human-readable messages that name the figure id — the CI hook that
+turns any perf/model change into a reviewable artifact diff.
 """
 
 from __future__ import annotations
@@ -128,16 +132,43 @@ def generate_figures(
     return manifest
 
 
+def check_claims(
+    scope: str,
+    runner: ExperimentRunner,
+    only: Optional[Sequence[str]] = None,
+) -> List[str]:
+    """Evaluate every claim declared at ``scope`` on its figure.
+
+    Returns failure messages (empty = every claim holds), each naming
+    the figure id and the claim. Figures are built again from
+    ``runner``; pass the one :func:`generate_figures` used and they come
+    from its memo.
+    """
+    scope_obj = get_scope(scope)
+    failures: List[str] = []
+    for generator in _select(only):
+        claims = [c for c in generator.claims if scope in c.scopes]
+        if not claims:
+            continue
+        figure = generator.build(scope_obj, runner)
+        failures.extend(
+            f"{generator.figure_id}: claim fails at {scope} scope: "
+            f"{claim.text}"
+            for claim in claims if not claim.holds(figure))
+    return failures
+
+
 def check_figures(
     golden_dir: Union[str, Path] = GOLDEN_FIGURES_DIR,
     scope: Optional[str] = None,
     only: Optional[Sequence[str]] = None,
     workdir: Optional[Union[str, Path]] = None,
 ) -> List[str]:
-    """Regenerate the figure set and diff it against committed goldens.
+    """Regenerate the figure set, diff it against committed goldens and
+    check the claims declared at its scope.
 
-    Returns drift messages (empty = clean), each naming the figure id
-    whose artifact changed. ``scope`` defaults to whatever scope the
+    Returns drift and claim-failure messages (empty = clean), each
+    naming the figure id. ``scope`` defaults to whatever scope the
     golden manifest records; ``workdir`` (a scratch directory for the
     regenerated set) defaults to a fresh temp directory.
     """
@@ -151,7 +182,9 @@ def check_figures(
         scope = golden_manifest["scope"]
     if workdir is None:
         workdir = tempfile.mkdtemp(prefix="repro-figures-check-")
-    manifest = generate_figures(workdir, scope=scope, only=only)
+    runner = ExperimentRunner()
+    manifest = generate_figures(workdir, scope=scope, only=only,
+                                runner=runner)
     workdir = Path(workdir)
 
     drifts: List[str] = []
@@ -189,11 +222,12 @@ def check_figures(
                 f"fingerprint {manifest['inputs_fingerprint'][:12]} vs "
                 f"golden "
                 f"{golden_manifest['inputs_fingerprint'][:12]})")
-    return drifts
+    return drifts + check_claims(scope, runner, only)
 
 
 __all__ = [
     "GOLDEN_FIGURES_DIR",
+    "check_claims",
     "check_figures",
     "csv_bytes",
     "figure_ids",

@@ -1,44 +1,93 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.__main__ import main
+from repro.figures import generators
 
 
 class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "fig12" in out
-        assert "table2" in out
-        assert "paper:" in out
+        for generator in generators.FIGURE_GENERATORS:
+            assert generator.figure_id in out
+            for claim in generator.claims:
+                assert (f"claim [{','.join(claim.scopes)}]: {claim.text}"
+                        in out)
 
     def test_run_table(self, capsys):
-        assert main(["run", "table1"]) == 0
+        assert main(["run", "gmean_speedup"]) == 0
         out = capsys.readouterr().out
-        assert "Table 1" in out
-        assert "radix" in out
+        assert "gmean speedup over MKL" in out
+        assert "GP" in out
 
     def test_run_without_ids(self, capsys):
         assert main(["run"]) == 2
         err = capsys.readouterr().err
-        assert "no experiment ids" in err
+        assert "no figure ids" in err
 
-    def test_run_unknown_id(self):
-        with pytest.raises(KeyError, match="unknown experiment"):
-            main(["run", "fig99"])
+    def test_run_unknown_id(self, capsys):
+        assert main(["run", "fig99"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown figure id(s): fig99")
+        assert "see 'repro list'" in err
+
+    def test_run_unknown_scope(self, capsys):
+        assert main(["run", "area", "--scope", "huge"]) == 2
+        assert "error: unknown scope" in capsys.readouterr().err
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
 
 
-class TestExportCommand:
-    def test_export_writes_files(self, tmp_path, capsys):
-        assert main(["export", str(tmp_path), "table1"]) == 0
+class TestFiguresCommand:
+    def test_only_writes_one_figure(self, tmp_path, capsys):
+        assert main(["figures", "--out", str(tmp_path),
+                     "--only", "area"]) == 0
         out = capsys.readouterr().out
-        assert "table1.txt" in out
-        assert (tmp_path / "table1.json").exists()
+        assert "wrote area: area.vl.json + area.csv" in out
+        assert "all 3 paper claim(s) declared at quick scope hold" in out
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "area.csv", "area.vl.json", "figures_manifest.json"]
+
+    def test_failed_claim_exits_1(self, tmp_path, capsys, monkeypatch):
+        """A quick-declared claim that breaks fails --check by name."""
+        monkeypatch.setattr(generators, "FIGURE_GENERATORS", [
+            _slower_g() if g.figure_id == "gmean_speedup" else g
+            for g in generators.FIGURE_GENERATORS])
+        assert main(["figures", "--check", "--only", "gmean_speedup",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert ("gmean_speedup: claim fails at quick scope: G is faster "
+                "than SpArch") in err
+        assert "drifted" not in err
+
+    def test_check_rejects_other_scope(self, capsys):
+        assert main(["figures", "--check", "--scope", "paper"]) == 2
+        err = capsys.readouterr().err
+        assert ("error: --check compares against goldens at scope "
+                "'quick', not 'paper'") in err
+
+    def test_unknown_id(self, capsys):
+        assert main(["figures", "--only", "fig99"]) == 2
+        assert "see 'repro list'" in capsys.readouterr().err
+
+
+def _slower_g():
+    """The gmean_speedup generator with G's row set below SpArch's."""
+    generator = generators.get_generator("gmean_speedup")
+
+    def build(scope, runner):
+        figure = generator.build(scope, runner)
+        speed = {r["design"]: r for r in figure["rows"]}
+        speed["G"]["gmean_speedup"] = speed["SpArch"]["gmean_speedup"] / 2
+        return figure
+
+    return dataclasses.replace(generator, build=build)
 
 
 class TestSweepCommand:

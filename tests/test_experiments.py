@@ -1,43 +1,17 @@
-"""Tests for the experiment harness (registry + runner, on small inputs).
+"""Tests for the experiment runner and scaled configs (small inputs).
 
-These use the smallest suite matrices so the full battery stays fast; the
-benchmarks exercise the complete sweeps.
+These use the smallest suite matrices so the full battery stays fast;
+the figure catalog's claims (tests/test_figures.py) cover the sweeps.
 """
 
 import pytest
 
-from repro.experiments import (
-    EXPERIMENTS,
-    all_experiment_ids,
-    get_experiment,
-    scaled_cpu_config,
-    scaled_gamma_config,
-)
+from repro.experiments import scaled_cpu_config, scaled_gamma_config
 from repro.experiments.runner import (
     MODEL_SCALE,
     ExperimentRunner,
     preprocess_options,
 )
-
-
-class TestRegistry:
-    def test_every_figure_and_table_present(self):
-        ids = set(all_experiment_ids())
-        expected = {f"fig{i}" for i in [3] + list(range(10, 26))}
-        expected |= {f"table{i}" for i in range(1, 5)}
-        expected |= {"ext_matraptor", "ext_dataflows", "ext_energy"}
-        assert ids == expected
-
-    def test_lookup(self):
-        exp = get_experiment("fig12")
-        assert "traffic" in exp.title.lower()
-        with pytest.raises(KeyError, match="unknown experiment"):
-            get_experiment("fig99")
-
-    def test_claims_recorded(self):
-        for exp in EXPERIMENTS:
-            assert exp.paper_claim
-            assert exp.title
 
 
 class TestScaledConfigs:
@@ -46,6 +20,7 @@ class TestScaledConfigs:
         assert config.fibercache_bytes == 3 * 1024 * 1024 // MODEL_SCALE
         assert config.num_pes == 32
         assert config.radix == 64
+        assert config.fibercache_ways == 16
 
     def test_overrides(self):
         config = scaled_gamma_config(num_pes=8)

@@ -8,6 +8,9 @@ Any change that moves a number in any figure fails here *naming the
 figure*, so evaluation drift is reviewed as an artifact diff instead of
 discovered downstream.
 
+Also checked: the paper claims each generator carries — every one
+declared at the golden scope runs inside ``check_figures``.
+
 Also pinned: the Vega-Lite spec contract (marks/channels/types the
 builders are allowed to emit) in ``tests/golden/vega_lite_schema.json``,
 and the repr-stable number formatting that keeps every CSV/JSON byte
@@ -20,8 +23,10 @@ If a change is *intentional*, regenerate with::
 and justify the new goldens in the commit message.
 """
 
+import dataclasses
 import json
 import pathlib
+import re
 import shutil
 import sys
 
@@ -35,15 +40,21 @@ from repro.analysis.charts import (
     VEGA_LITE_CONTRACT,
     validate_vega_lite_spec,
 )
+from repro.experiments import ExperimentRunner
 from repro.figures import (
+    FIGURE_GENERATORS,
     GOLDEN_SCOPE,
     MANIFEST_FILENAME,
+    SCOPES,
+    check_claims,
     check_figures,
     figure_ids,
     generate_figures,
+    get_generator,
     load_manifest,
     validate_manifest,
 )
+from repro.figures import generators
 from repro.figures.pipeline import csv_bytes, spec_bytes
 from repro.obs.numfmt import canonical, canonical_number, format_cell
 
@@ -129,6 +140,64 @@ class TestGoldenSet:
 
 
 # ----------------------------------------------------------------------
+# The catalog and the paper claims it carries
+# ----------------------------------------------------------------------
+class TestCatalog:
+    def test_lookup(self):
+        assert "traffic" in get_generator("traffic").title.lower()
+        with pytest.raises(ValueError, match="unknown figure id"):
+            get_generator("fig99")
+
+    def test_every_figure_and_table_present(self):
+        """Figs. 3 and 10-25 and Tables 2-4 each have a generator
+        (Table 1's values are pinned in test_config/test_experiments)."""
+        refs = " ".join(g.paper_ref for g in FIGURE_GENERATORS)
+
+        def numbers(pattern):
+            return {int(n) for group in re.findall(pattern, refs)
+                    for n in group.split("/")}
+
+        assert numbers(r"Figs?\. ([\d/]+)") >= {3} | set(range(10, 26))
+        assert numbers(r"Tables? ([\d/]+)") >= {2, 3, 4}
+
+
+class TestClaims:
+    def test_claim_scopes_are_known(self):
+        for generator in FIGURE_GENERATORS:
+            for claim in generator.claims:
+                assert claim.scopes, claim.text
+                assert set(claim.scopes) <= set(SCOPES), claim.text
+
+    def test_every_generator_but_spmv_has_claims(self):
+        bare = [g.figure_id for g in FIGURE_GENERATORS if not g.claims]
+        assert bare == ["spmv"]
+
+    def test_gp_below_g_is_reported(self, monkeypatch):
+        """A figure whose GP gmean falls below G's fails the Fig. 10
+        claim declared at the common scope, by figure id and text."""
+        rows = [{"design": design, "gmean_speedup": speedup}
+                for design, speedup in (
+                    ("OuterSPACE", 5.0), ("SpArch", 18.0),
+                    ("SparseZipper", 3.0), ("RVV", 2.0), ("G", 33.0),
+                    ("GP", 30.0))]
+        monkeypatch.setattr(generators, "FIGURE_GENERATORS", [
+            dataclasses.replace(g, build=lambda scope, runner: {
+                "rows": rows}) if g.figure_id == "gmean_speedup" else g
+            for g in FIGURE_GENERATORS])
+        failures = check_claims("common", ExperimentRunner(),
+                                only=["gmean_speedup"])
+        assert failures == [
+            "gmean_speedup: claim fails at common scope: GP is at least "
+            "as fast as G (paper: 38x vs 33x)"]
+
+    def test_only_figures_with_claims_at_the_scope_are_built(self):
+        """Table 2's claims hold at every scope; speedup and spmv declare
+        none at paper scope, so its 37 matrices are never simulated."""
+        assert check_claims("paper", ExperimentRunner(),
+                            only=["area", "spmv", "speedup"]) == []
+
+
+# ----------------------------------------------------------------------
 # repr-stable numbers (the formatter every artifact byte routes through)
 # ----------------------------------------------------------------------
 class TestNumberFormatting:
@@ -161,6 +230,11 @@ class TestNumberFormatting:
         assert canonical(once) == once
         assert json.dumps(once, sort_keys=True) \
             == json.dumps(canonical(once), sort_keys=True)
+
+    def test_csv_union_of_keys(self):
+        """Columns are the union of row keys in first-seen order; a row
+        missing a key leaves its cell empty."""
+        assert csv_bytes([{"a": 1}, {"a": 2, "b": 3}]) == b"a,b\n1,\n2,3\n"
 
     def test_spec_bytes_are_stable(self):
         spec = {"b": 2.0000000000001, "a": [1.5, {"c": np.float64(0.2)}]}

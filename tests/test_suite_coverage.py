@@ -1,7 +1,7 @@
 """Suite-wide integration checks: every matrix loads and behaves sanely.
 
 These are the guardrails for the scaled evaluation: if a generator change
-breaks a matrix's structure, these fail before the benchmarks mislead.
+breaks a matrix's structure, these fail before the figures mislead.
 """
 
 import numpy as np
