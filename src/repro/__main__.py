@@ -22,6 +22,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -221,12 +222,14 @@ def _cmd_profile(args) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render_report(run.record, run.trace, run.wall_seconds))
+    # Files first: a reader that stops early (``| head``) must not cost
+    # the trace.
+    notes = []
     if args.trace:
         lines = run.trace.to_jsonl(
             args.trace, model=model, matrix=args.matrix,
             variant=args.variant)
-        print(f"wrote {lines} trace lines to {args.trace}")
+        notes.append(f"wrote {lines} trace lines to {args.trace}")
     if args.perfetto:
         from repro.obs import (
             chrome_trace_from_execution_trace,
@@ -235,8 +238,11 @@ def _cmd_profile(args) -> int:
         trace = chrome_trace_from_execution_trace(
             run.trace, label=f"{model}:{args.matrix}")
         write_chrome_trace(args.perfetto, trace)
-        print(f"wrote Perfetto trace ({len(trace['traceEvents'])} "
-              f"events) to {args.perfetto}")
+        notes.append(f"wrote Perfetto trace ({len(trace['traceEvents'])} "
+                     f"events) to {args.perfetto}")
+    print(render_report(run.record, run.trace, run.wall_seconds))
+    for note in notes:
+        print(note)
     return 0
 
 
@@ -428,9 +434,9 @@ def main(argv: Optional[List[str]] = None) -> int:
              "trace.json (Perfetto), and sweep.json into DIR")
     sweep_parser.add_argument(
         "--engine", choices=("batched", "ref"), default="batched",
-        help="Gamma simulator core: the data-oriented epoch engine "
-             "(default) or the event-ordered reference (bit-identical, "
-             "slower; cached as the separate gamma-ref model)")
+        help="Gamma simulator core: the batched engine (default) or "
+             "the event-ordered reference (bit-identical, slower; cached "
+             "as the separate gamma-ref model)")
     report_parser = sub.add_parser(
         "report",
         help="render report.md + report.html from a sweep --trace-dir")
@@ -500,8 +506,9 @@ def main(argv: Optional[List[str]] = None) -> int:
              "windows) loadable at ui.perfetto.dev")
     profile_parser.add_argument(
         "--engine", choices=("batched", "ref"), default="batched",
-        help="Gamma simulator core: data-oriented epoch engine "
-             "(default) or the event-ordered reference")
+        help="Gamma simulator core: the batched engine (default) or "
+             "the event-ordered reference; profiling collects metrics, "
+             "which the batched engine delegates to the reference")
 
     serve_parser = sub.add_parser(
         "serve",
@@ -540,6 +547,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="record serve/store span telemetry into DIR")
 
     args = parser.parse_args(argv)
+    try:
+        status = _dispatch(parser, args)
+        # Flush inside the try, so a closed pipe surfaces here.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (``| head``): point stdout at devnull
+        # so the interpreter's exit-time flush cannot fail again, and
+        # exit without a traceback (the recipe in Python's signal docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _dispatch(parser, args) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

@@ -3,7 +3,7 @@
 GUST (PAPERS.md) observes that Gustavson's dataflow serves SpMV
 unchanged: ``y = A x`` is row-wise gathering where every referenced "B
 row" is a single scalar ``x_k``. The ``gamma-spmv`` registry model
-reuses the epoch-batched Gamma core verbatim — same PE timing law, same
+reuses the batched Gamma core verbatim — same PE timing law, same
 FiberCache touch accounting — on a ``k x 1`` operand, so SpMV results
 drop into sweeps, reports, and the job service exactly like SpGEMM
 records.
@@ -81,7 +81,7 @@ def run_gamma_spmv(
     metrics=None,
     simulator_cls=None,
 ) -> SimulationResult:
-    """Simulate ``y = A x`` on the epoch-batched Gamma core."""
+    """Simulate ``y = A x`` on the batched Gamma core."""
     simulator_cls = simulator_cls or GammaSimulator
     config = config or GammaConfig()
     x = vector_operand(b, operand, semiring)

@@ -7,24 +7,20 @@ from repro.core.fibercache_ref import ReferenceFiberCache
 from repro.core.merger import HighRadixMerger, merge_cycles
 from repro.core.pe import PEResult, ProcessingElement
 from repro.core.result import SimulationResult
-from repro.core.scheduler import (EpochScheduler, Scheduler, WorkItem,
-                                  WorkProgram)
+from repro.core.scheduler import Scheduler, WorkItem, WorkProgram
 from repro.core.simulator import GammaSimulator, multiply
 from repro.core.simulator_ref import (ReferenceGammaSimulator,
                                       multiply_reference)
-from repro.core.tasks import (LeafTask, Task, TaskInput, build_task_tree,
-                              tree_stats)
+from repro.core.tasks import Task, TaskInput, build_task_tree, tree_stats
 from repro.core.trace import ExecutionTrace, TaskEvent
 
 __all__ = [
     "Accumulator",
     "CacheStats",
-    "EpochScheduler",
     "ExecutionTrace",
     "FiberCache",
     "GammaSimulator",
     "HighRadixMerger",
-    "LeafTask",
     "MemoryInterface",
     "PEResult",
     "ProcessingElement",

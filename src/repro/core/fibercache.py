@@ -21,8 +21,9 @@ Hot-path organization (see docs/architecture.md §10)
 ----------------------------------------------------
 This implementation is the *batched* cache: callers stream whole address
 ranges through ``fetch_range`` / ``read_range`` / ``write_range`` /
-``consume_range`` (plus the fused ``fetch_read_range``), or whole
-*epochs* of ranges through ``fetch_read_epoch``, instead of one Python
+``consume_range`` (plus the fused ``fetch_read_range``, and
+``fetch_read_ranges`` for one task's inputs), or whole *epochs* of
+ranges through ``fetch_read_epoch``, instead of one Python
 call per line. State lives in set-major slot arrays — parallel arrays of
 length ``num_sets * num_ways`` indexed by ``set * ways + way`` (tags,
 dirty, category, and one packed *replacement key* per slot) with an
@@ -552,6 +553,37 @@ class FiberCache:
     def _fetch_read_epoch_ranges(self, lows, highs, counts,
                                  category: str = "B"):
         """Range-at-a-time :meth:`fetch_read_epoch` (set-space wraps)."""
+        occupancy = self.occupancy
+        miss_out = []
+        dirty_out = []
+        occ_b_out = []
+        occ_p_out = []
+        pos = 0
+        for count in counts:
+            misses, dirty = self.fetch_read_ranges(
+                lows[pos:pos + count], highs[pos:pos + count], category)
+            pos += count
+            miss_out.append(misses)
+            dirty_out.append(dirty)
+            occ_b_out.append(occupancy["B"])
+            occ_p_out.append(occupancy["partial"])
+        return miss_out, dirty_out, occ_b_out, occ_p_out
+
+    def fetch_read_ranges(self, lows, highs,
+                          category: str = "B") -> Tuple[int, int]:
+        """:meth:`fetch_read_range` over several ranges, in one call.
+
+        One PE task's input touches: ``lows[i], highs[i]`` is its *i*-th
+        range in touch order. State evolution is bit-identical to one
+        ``fetch_read_range`` call per range; the per-call overhead is
+        paid once, and no numpy setup is (the per-dispatch counterpart
+        of :meth:`fetch_read_epoch`).
+
+        Returns:
+            (miss_lines, dirty_evictions) summed over the ranges.
+        """
+        if category not in self.miss_lines:
+            raise ValueError(f"unknown line category {category!r}")
         cat_code = _CAT_CODE[category]
         slot_of = self._slot_of
         keys = self._key
@@ -561,57 +593,42 @@ class FiberCache:
         bank_accesses = self.bank_accesses
         bank_hits = self.bank_hits
         bank_misses = self.bank_misses
-        occupancy = self.occupancy
         stats = self.stats
+        dirty_before = stats.dirty_evictions
         hits = 0
         misses = 0
+        wrap_misses = 0
         fused_lines = 0
-        miss_out = []
-        dirty_out = []
-        occ_b_out = []
-        occ_p_out = []
-        pos = 0
-        for count in counts:
-            group_misses = 0
-            dirty_before = stats.dirty_evictions
-            for _ in range(count):
-                lo = lows[pos]
-                hi = highs[pos]
-                pos += 1
-                if hi - lo > num_sets:
-                    # Rare set-space wrap: exact two-pass fallback
-                    # (flushes its own fetch/read stats).
-                    m1, _ = self.fetch_range(lo, hi, category)
-                    m2, _ = self.read_range(lo, hi, category)
-                    group_misses += m1 + m2
-                    continue
-                for addr in range(lo, hi):
-                    bank = addr % num_banks
-                    bank_accesses[bank] += 2
+        for lo, hi in zip(lows, highs):
+            if hi - lo > num_sets:
+                # Rare set-space wrap: exact two-pass fallback
+                # (flushes its own fetch/read stats).
+                m1, _ = self.fetch_range(lo, hi, category)
+                m2, _ = self.read_range(lo, hi, category)
+                wrap_misses += m1 + m2
+                continue
+            for addr in range(lo, hi):
+                bank = addr % num_banks
+                bank_accesses[bank] += 2
+                bank_hits[bank] += 1
+                slot = slot_of.get(addr)
+                if slot is not None:
+                    hits += 1
                     bank_hits[bank] += 1
-                    slot = slot_of.get(addr)
-                    if slot is not None:
-                        hits += 1
-                        bank_hits[bank] += 1
-                        k = keys[slot]
-                        if k >= _KEY_PRIO_SAT:
-                            k -= _KEY_PRIO_ONE
-                        keys[slot] = k | _KEY_RRPV0
-                    else:
-                        misses += 1
-                        group_misses += 1
-                        bank_misses[bank] += 1
-                        install(addr, cat_code, _KEY_RRPV0)
-                fused_lines += hi - lo
-            miss_out.append(group_misses)
-            dirty_out.append(stats.dirty_evictions - dirty_before)
-            occ_b_out.append(occupancy["B"])
-            occ_p_out.append(occupancy["partial"])
+                    k = keys[slot]
+                    if k >= _KEY_PRIO_SAT:
+                        k -= _KEY_PRIO_ONE
+                    keys[slot] = k | _KEY_RRPV0
+                else:
+                    misses += 1
+                    bank_misses[bank] += 1
+                    install(addr, cat_code, _KEY_RRPV0)
+            fused_lines += hi - lo
         stats.fetch_hits += hits
         stats.fetch_misses += misses
         stats.read_hits += fused_lines
         self.miss_lines[category] += misses
-        return miss_out, dirty_out, occ_b_out, occ_p_out
+        return misses + wrap_misses, stats.dirty_evictions - dirty_before
 
     def write_range(self, lo: int, hi: int,
                     category: str = "partial") -> Tuple[int, int]:

@@ -33,12 +33,13 @@ class SimulationResult:
             the run was instrumented (``GammaSimulator(metrics=...)``);
             None otherwise. See :mod:`repro.obs`.
         dispatch: Execution-path split ``{"scalar": n, "epoch": m}`` —
-            tasks dispatched one-at-a-time vs inside a batched epoch.
-            On the batched core every level-0 leaf runs in an epoch, so
-            ``scalar`` counts interior merges and root emits (all tasks
-            on instrumented runs). Engine diagnostics, not behavior: the
-            reference engine is all-scalar by construction and the
-            lockstep suite excludes this field from its equality set.
+            tasks dispatched by the reference engine's per-task
+            ``_execute_task`` vs by the batched core's timing loop. A
+            batched run counts every task under ``epoch``; instrumented
+            runs and semirings without an ``add_ufunc`` execute on the
+            reference engine and count every task under ``scalar``.
+            Engine diagnostics, not behavior: the lockstep suite
+            excludes this field from its equality set.
     """
 
     output: Optional[CsrMatrix]
@@ -59,8 +60,8 @@ class SimulationResult:
     def scalar_dispatch_fraction(self) -> Optional[float]:
         """Fraction of tasks that ran on the scalar path (None if unknown).
 
-        On the batched core these are the interior merges and root
-        emits of task trees; leaves always run in epochs.
+        0 on the batched core, 1 on the reference engine (which also
+        runs every instrumented point).
         """
         if not self.dispatch:
             return None

@@ -17,8 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.tasks import (Task, TaskInput, build_leaf_tree,
-                              build_task_tree, _task_ids)
+from repro.core.tasks import Task, TaskInput, build_task_tree, _task_ids
 from repro.matrices.csr import CsrMatrix
 
 
@@ -141,7 +140,14 @@ class Scheduler:
         self._item_cursor += 1
         self.items_consumed += 1
         order = next(self._order_counter)
-        tree = self._build_tree(item, order, emit_final=item.num_parts == 1)
+        tree = build_task_tree(
+            row=item.row,
+            b_rows=item.coords,
+            scales=item.values,
+            radix=self.radix,
+            row_order=order,
+            emit_final=item.num_parts == 1,
+        )
         self._register_tasks(tree)
         if item.num_parts > 1:
             root = tree[-1]
@@ -152,18 +158,6 @@ class Scheduler:
             if seen == item.num_parts:
                 self._emit_combine_tasks(item.row, parts, order)
         return True
-
-    def _build_tree(self, item: WorkItem, order: int,
-                    emit_final: bool) -> List[Task]:
-        """The task tree of one work item (children before parents)."""
-        return build_task_tree(
-            row=item.row,
-            b_rows=item.coords,
-            scales=item.values,
-            radix=self.radix,
-            row_order=order,
-            emit_final=emit_final,
-        )
 
     def _emit_combine_tasks(
         self, row: int, part_task_ids: List[int], order: int
@@ -292,217 +286,3 @@ class Scheduler:
 
     def has_blocked_tasks(self) -> bool:
         return bool(self._waiting)
-
-
-class EpochScheduler(Scheduler):
-    """Scheduler with epoch extraction for the batched simulator core.
-
-    Two additions over the base dynamic scheduler, both bit-neutral:
-
-    * Task-tree leaves are array-backed :class:`~repro.core.tasks.LeafTask`
-      slices of their work item (:func:`~repro.core.tasks.build_leaf_tree`)
-      instead of lists of ``TaskInput`` objects. Task-id consumption,
-      ready keys, and every counter match the base expansion exactly.
-    * :meth:`drain_stretch`, :meth:`drain_ready_leaves` and
-      :meth:`fence_plan` hand the batched core whole runs of level-0
-      dispatches whose order the reference event loop fixes
-      independently of task timing.
-
-    Leaves dispatch in *program order*: every leaf enters the ready heap
-    at its item's expansion with key ``(row_order, 0, task_id)`` and
-    nothing else outranks an earlier item's leaf, so the batched core
-    can merge leaves ahead of dispatch in the same order.
-    """
-
-    def _build_tree(self, item: WorkItem, order: int,
-                    emit_final: bool) -> List:
-        return build_leaf_tree(item.row, item.coords, item.values,
-                               self.radix, order, emit_final)
-
-    def peek_ready(self) -> Optional[Task]:
-        """The task ``next_task`` would dispatch, without popping it."""
-        return self._ready[0][1] if self._ready else None
-
-    def fence_plan(self, finish_time, leaf_ids):
-        """Fence and arming plan for a drained run of level-0 leaves.
-
-        While the ready head is a level-0 leaf, every waiting task's
-        remaining dependencies are already dispatched (finish times in
-        ``finish_time``), among the drained leaves (``leaf_ids``, about
-        to dispatch), or stuck behind an undispatched task that is not
-        part of the run — in which case the waiting task cannot unblock
-        during it. A waiting task whose remaining dependencies are all
-        in flight ("armed") becomes ready exactly when the event loop's
-        completion drains reach the latest of those finish times; the
-        *fence* — the minimum over armed tasks — is where the reference
-        loop's dispatch order stops being timing-independent, because
-        the newly ready task preempts every later-ordered leaf.
-
-        Returns ``(fence, dependents)``. ``fence`` covers tasks armed
-        before the run starts (``inf`` when there are none).
-        ``dependents`` maps each drained leaf id to the mutable records
-        ``[missing_deps, worst_finish]`` of waiting tasks that arm only
-        once that leaf dispatches; the epoch loop folds each dispatch's
-        finish into its records and lowers the fence when a record's
-        missing count reaches zero, keeping the stop condition exact
-        while non-final leaves dispatch mid-run.
-        """
-        fence = float("inf")
-        dependents: Dict[int, List] = {}
-        leaf_set = set(leaf_ids)
-        completed = self._completed
-        for task in self._waiting.values():
-            worst = 0.0
-            pending_deps = None
-            armable = True
-            for inp in task.inputs:
-                if inp.kind != "partial" or inp.index in completed:
-                    continue
-                finish = finish_time.get(inp.index)
-                if finish is not None:
-                    if finish > worst:
-                        worst = finish
-                elif inp.index in leaf_set:
-                    if pending_deps is None:
-                        pending_deps = [inp.index]
-                    else:
-                        pending_deps.append(inp.index)
-                else:
-                    armable = False
-                    break
-            if not armable:
-                continue
-            if pending_deps is None:
-                if worst < fence:
-                    fence = worst
-            else:
-                record = [len(pending_deps), worst]
-                for dep in pending_deps:
-                    dependents.setdefault(dep, []).append(record)
-        return fence, dependents
-
-    def refill_epoch(self, pending_target: int, extra_pending: int) -> None:
-        """Mid-epoch :meth:`refill` with drained entries counted as pending.
-
-        The fenced epoch loop holds the undispatched remainder of its
-        drained run outside the ready heap; the reference loop would
-        still have those entries *in* the heap when it refills between
-        dispatches, so its expansion gate compares ``len(ready) +
-        extra_pending`` against the target. Replaying that gate after
-        every epoch dispatch matters once non-final leaves dispatch:
-        each one raises ``outstanding_partials``, and an expansion the
-        reference performed just before the budget filled up must not
-        be skipped (nor a skipped one performed) by deferring refills
-        to the epoch boundary. No force branch: with entries still
-        undispatched the reference's ready heap is nonempty, so its
-        forced-expansion clause never fires mid-run.
-        """
-        while (
-            len(self._ready) + extra_pending < pending_target
-            and self.outstanding_partials < self.max_outstanding_partials
-        ):
-            if not self._expand_next_item():
-                break
-
-    def drain_ready_leaves(self) -> List:
-        """Pop the run of already-expanded level-0 leaves at the ready head.
-
-        Unlike :meth:`drain_stretch` this never consumes work items off
-        the program cursor: fenced epochs (stretches bounded by
-        :meth:`fence_plan`) may stop mid-batch, and item expansion must
-        then stay aligned with the reference loop's per-dispatch refill
-        gate — which the caller reproduces exactly by refilling between
-        chunks. Both final leaves (simple items' whole trees) and
-        non-final tree leaves drain; the run stops at the first
-        interior task, whose dispatch depends on completion timing.
-        Returns the popped heap entries verbatim so an undispatched
-        suffix can be pushed back untouched.
-        """
-        ready = self._ready
-        pop = heapq.heappop
-        entries: List = []
-        while ready:
-            if ready[0][1].level != 0:
-                break
-            entries.append(pop(ready))
-        return entries
-
-    def push_back(self, entries) -> None:
-        """Return undispatched :meth:`drain_ready_leaves` entries unchanged."""
-        ready = self._ready
-        push = heapq.heappush
-        for entry in entries:
-            push(ready, entry)
-
-    def drain_stretch(self, limit: Optional[int] = None):
-        """Extract a maximal run of timing-independent final-leaf dispatches.
-
-        Returns the run as parallel arrays ``(rows, task_ids, coords,
-        scales)`` — struct-of-arrays form, one entry per dispatch — so
-        the batched core never materializes per-task objects for epoch
-        work. ``limit`` caps the run length (the batched core stops a
-        stretch where its precomputed leaf records end).
-
-        The run is exactly the stretch the reference event loop would
-        dispatch back-to-back: every already-expanded final leaf in the
-        ready heap (keys sort below anything expanded later), then
-        *simple* items consumed straight off the program cursor until
-        the first tiled or over-radix item. During such a stretch the
-        reference's per-dispatch refills and completion drains are
-        invisible — dispatched tasks are all final leaves (their
-        completions unblock nothing and free no partial budget, and
-        final task ids are never consulted by a dependency scan), and
-        simple-item expansion reads no completion state — so dispatch
-        order is independent of task timing and the lookahead the
-        reference interleaves converges at the caller's next ``refill``.
-        Task ids and row orders are drawn from the same counters in the
-        same cursor order as per-item expansion, keeping ids aligned
-        with the reference engine. The fence stops the run *before* a
-        complex item is expanded, whose tree/combine registration is
-        timing-sensitive; the caller must guarantee that no waiting task
-        can become ready during the run and that the ready head is a
-        final leaf.
-        """
-        ready = self._ready
-        pop = heapq.heappop
-        rows: List[int] = []
-        ids: List[int] = []
-        coords: List = []
-        scales: List = []
-        if limit is None:
-            limit = len(self.program.items)
-        while ready:
-            task = ready[0][1]
-            if (task.level != 0 or not task.is_final
-                    or len(rows) == limit):
-                return rows, ids, coords, scales
-            pop(ready)
-            rows.append(task.row)
-            ids.append(task.task_id)
-            coords.append(task.b_coords)
-            scales.append(task.b_scales)
-        # Ready drained: consume simple items straight off the cursor
-        # (the partial budget never moves during a stretch, so one check
-        # stands in for the reference's per-refill gate).
-        if self.outstanding_partials < self.max_outstanding_partials:
-            items = self.program.items
-            radix = self.radix
-            cursor = start = self._item_cursor
-            stop = min(len(items), start + limit - len(rows))
-            while cursor < stop:
-                item = items[cursor]
-                if item.num_parts != 1 or item.nnz > radix:
-                    break
-                rows.append(item.row)
-                coords.append(item.coords)
-                scales.append(item.values)
-                cursor += 1
-            consumed = cursor - start
-            if consumed:
-                self._item_cursor = cursor
-                self.items_consumed += consumed
-                self.tasks_created += consumed
-                ids.extend(itertools.islice(_task_ids, consumed))
-                for _ in range(consumed):
-                    next(self._order_counter)
-        return rows, ids, coords, scales

@@ -1,56 +1,47 @@
-"""The Gamma accelerator simulator: data-oriented, epoch-batched core.
+"""The Gamma accelerator simulator: data-oriented batched core.
 
 Functionally this is the same machine as
 :mod:`repro.core.simulator_ref` — Gustavson spMspM with scheduler-driven
 task trees, FiberCache line touches, a bandwidth-limited memory channel,
 and the paper's PE timing law — and it is lockstep-tested to produce
-bit-identical outputs, cycle counts, and traffic breakdowns. What
-changed is the execution engine: leaves are split into a *functional*
-pass and a *timing* pass, and the timing pass advances in *epochs*
-instead of one ``_execute_task`` call per task.
+bit-identical outputs, cycle counts, traffic breakdowns and traces.
+What changed is the execution engine: every task is split into a
+*functional* pass and a *timing* pass.
 
-The functional pass. Everything a level-0 leaf computes without
-consulting time — its B line ranges, PE cycles, output length, and
-output fiber — is a function of its work item alone, and leaves
-dispatch in program order (every leaf enters the ready heap at its
-item's expansion and nothing outranks an earlier item's leaf). So the
-core merges leaves *ahead of dispatch*, in bounded program-order chunks
-of struct-of-arrays records (:class:`_LeafRecords`): one composite-key
-merge kernel (stable argsort + group reduction, bit-matched to
-``linear_combine``) covers thousands of leaves, and each leaf is merged
-exactly once however many epochs it waits through.
+The functional pass. What a task computes — its output fiber and
+length, its PE cycles, the B line ranges it reads — never depends on
+time: a leaf merges B rows, an interior merge its children's outputs
+plus its direct B rows, a tiled row's combine tree its parts' roots.
+So the core merges whole task graphs *ahead of dispatch*, in
+program-order chunks of work items (:meth:`_BatchedRunState._functional_pass`):
+each chunk's tasks run stage by stage (leaves first, then every task
+whose children are merged) through one composite-key merge kernel per
+stage (stable argsort + group reduction, bit-matched to
+``linear_combine``), and each task is merged exactly once. The results
+are flat per-task arrays (:class:`_TaskRecords`) — row, level,
+children, cycles, output length, B line ranges — and outputs are never
+handed around at dispatch.
 
-The timing pass. An epoch is a maximal run of leaf dispatches whose
-order the reference event loop would fix independently of task timing.
-With no task tree that could unblock mid-run, the scheduler's cursor
-*stretch* of final leaves (:meth:`EpochScheduler.drain_stretch`)
-executes in one go, its cache touches batched through one
-``FiberCache.fetch_read_epoch`` call. With trees in flight, the ready
-run of leaves executes as a *fenced* epoch: the fence is the earliest
-instant a completion drain could make a waiting parent ready
-(:meth:`EpochScheduler.fence_plan`), dispatching stops when the
-PE-availability horizon reaches it, and each non-final dispatch arms
-its parent and lowers the fence in place so the stop condition stays
-exact. Either way an epoch only does bookkeeping: pick a PE, touch the
-FiberCache, charge DRAM (result-less C writes and partial writebacks
-deferred through ``MemoryInterface.request_epoch``), and fold the
-fence. Non-final leaves keep the reference's side effects exactly: the
-partial-output budget rises per dispatch (with the reference's
-between-dispatch refill expansions replayed at the same budget values),
-partial lines are allocated and written in dispatch order, and
-completions enter the drain heap carrying the real task so parents
-unblock identically.
+The timing pass is one loop that follows the reference event loop one
+dispatch at a time over those arrays: refill (item expansion is index
+arithmetic over the records), drain completions up to the next PE
+time, pop the ready head by ``(row_order, -level, task_id)``, dispatch.
+A dispatch only does bookkeeping — pick a PE, consume its children's
+partial lines, touch its B ranges in one ``fetch_read_ranges`` call,
+charge DRAM (result-less C writes and partial writebacks deferred
+through ``MemoryInterface.request_epoch``), allocate and write its own
+partial lines. It is exact by construction. Where no task tree is in
+flight and the ready head is a final leaf, the run of final leaves
+that follows dispatches as one *cursor stretch*, its cache touches
+batched through one ``FiberCache.fetch_read_epoch`` call.
 
-Interior merges and root emits dispatch one at a time through the
-reference's scalar ``_execute_task``, exactly as the event loop does.
-Runs that collect a MetricsRegistry take the scalar path wholesale (and
-skip the functional pass) so every per-dispatch metric sample stays
-bit-identical; traces are supported in epoch mode (events are emitted
-from the epoch loops with the same fields).
+Runs that collect a MetricsRegistry, and custom semirings without an
+``add_ufunc``, delegate to the reference engine wholesale, so every
+per-dispatch metric sample stays bit-identical.
 
-See docs/architecture.md §13 for the layout and the epoch advancement
-rule, and ``tests/test_simulator_lockstep.py`` for the differential
-suite against the reference engine.
+See docs/architecture.md §13 for the layout, and
+``tests/test_simulator_lockstep.py`` for the differential suite against
+the reference engine.
 """
 
 from __future__ import annotations
@@ -62,111 +53,82 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.config import ELEMENT_BYTES, GammaConfig, LINE_BYTES, OFFSET_BYTES
+from repro.core import tasks
 from repro.core.accumulator import accumulate_groups
+from repro.core.dram import MemoryInterface
+from repro.core.fibercache import FiberCache
 from repro.core.pe import epoch_cycles, epoch_merge_groups
 from repro.core.result import SimulationResult
-from repro.core.scheduler import EpochScheduler, WorkProgram
+from repro.core.scheduler import WorkProgram
 from repro.core.simulator_ref import (ReferenceGammaSimulator,
-                                      _ReferenceRunState)
-from repro.core.tasks import leaf_ranges
+                                      _PARTIAL_BASE_LINE)
+from repro.core.trace import TaskEvent
 from repro.matrices.csr import CsrMatrix
-from repro.matrices.fiber import _make_fiber
-
-_INF = float("inf")
+from repro.matrices.fiber import Fiber, _make_fiber
 
 #: Merged-element budget of one functional-pass chunk computed ahead of
 #: dispatch: large enough to amortize the merge kernel over thousands of
-#: leaves, small enough to bound the records held ahead of the timing
+#: tasks, small enough to bound the records held ahead of the timing
 #: pass (the chunk is cut at a work-item boundary, at least one item).
+#: A run of simple items (one final leaf each) is merged as one chunk.
 _LOOKAHEAD_ELEMENTS = 1 << 13
 
 
-class _FastDetailedPE:
-    """Serves ``combine_detailed`` from the fast functional model.
+class _TaskRecords:
+    """Functional-pass results for a contiguous run of the task stream.
 
-    The two PE models are observably identical: ``combine_detailed``
-    reports ``cycles = max(1, len(merged))`` with every merged element
-    consuming exactly one input element and ``multiplies = total_in`` —
-    the same closed forms ``combine`` uses — and its accumulator fold
-    (scaled left-to-right over the (coordinate, way)-sorted element
-    stream) is the fold ``linear_combine`` evaluates array-wise. The
-    batched core therefore runs detailed-PE configurations through the
-    vectorized path; the reference engine keeps walking the per-cycle
-    pipeline, and the lockstep suite holds the two bit-identical.
+    The run covers work items ``[item_start, item_end)``; their tasks,
+    in task-id order (a tiled row's combine tree right after its last
+    part's tree), hold stream slots ``base + local``. Item ``k`` of the
+    run owns locals ``item_first[k]:item_first[k + 1]``; ``simple[k]``
+    marks a one-final-leaf item. Per task: output row, level, finality,
+    children (in input order, as offsets back from the task's own slot:
+    child slot = slot - offset), PE cycles, output length, and its
+    direct B inputs' line ranges, ``lows``/``highs`` entries
+    ``b_first[t]:b_first[t + 1]`` (``counts`` per task). ``low_list`` /
+    ``high_list`` are list copies of the ranges, made on the first
+    per-dispatch touch.
     """
 
-    __slots__ = ("_pe",)
+    __slots__ = ("base", "item_start", "item_end", "item_first", "simple",
+                 "rows", "levels", "finals", "kids", "cycles", "out_lens",
+                 "b_first", "counts", "lows", "highs", "low_list",
+                 "high_list", "elements")
 
-    def __init__(self, pe) -> None:
-        self._pe = pe
-
-    def __getattr__(self, name):
-        return getattr(self._pe, name)
-
-    def combine_detailed(self, fibers, scales, semiring=None):
-        return self._pe.combine(fibers, scales, semiring=semiring)
-
-
-class _LeafRecords:
-    """Functional-pass results for a contiguous run of the leaf stream.
-
-    Record ``r`` describes leaf ``base + r`` in dispatch order, and the
-    run covers the work items before ``next_item``. Struct-of-arrays
-    throughout: per-input B line ranges (``lows``/``highs``, grouped by
-    ``first``/``counts``), per-leaf PE cycles and output lengths, and
-    the output fibers of leaves that need values as slices of one
-    coordinate/value pair. Final leaves' outputs are stored when the
-    records are built; non-final leaves' fibers are handed out at
-    dispatch (:meth:`fiber`).
-    """
-
-    __slots__ = ("base", "end", "next_item", "elements", "first", "counts",
-                 "lows", "highs", "cycles", "out_lens", "out_coords",
-                 "out_values", "fiber_start", "fiber_end", "_range_lists")
-
-    def __init__(self, base: int, next_item: int) -> None:
-        self.base = self.end = base
-        self.next_item = next_item
-        #: Input elements the kernel merged for this run (its flops).
+    def __init__(self, base: int, item_start: int, item_end: int) -> None:
+        self.base = base
+        self.item_start = item_start
+        self.item_end = item_end
+        self.rows: List[int] = []
+        self.low_list = self.high_list = None
+        #: Input elements the merge kernels consumed for this run.
         self.elements = 0
-        self._range_lists = None
-
-    def range_lists(self):
-        """``(lows, highs)`` as lists, for per-task cache touches."""
-        if self._range_lists is None:
-            self._range_lists = (self.lows.tolist(), self.highs.tolist())
-        return self._range_lists
-
-    def fiber(self, r: int):
-        lo = self.fiber_start[r]
-        hi = self.fiber_end[r]
-        return _make_fiber(self.out_coords[lo:hi], self.out_values[lo:hi])
 
 
 class GammaSimulator:
     """Simulates one spMspM on a Gamma system (batched engine).
 
     Drop-in replacement for :class:`ReferenceGammaSimulator` — same
-    constructor, same results bit-for-bit — advancing execution in
-    epochs instead of per-task events. Custom semirings without a
-    declared ``add_ufunc`` have no vectorizable accumulation, so those
-    runs delegate to the reference engine wholesale.
+    constructor, same results bit-for-bit. Runs that collect metrics,
+    and custom semirings without a declared ``add_ufunc`` (no
+    vectorizable accumulation), delegate to the reference engine
+    wholesale.
 
     Args:
         config: Hardware parameters.
         multi_pe_scheduling: Scheduler mode (Fig. 20 ablation); the default
             True lets tasks of one row run on any PE.
         keep_output: Retain the computed C matrix in the result (disable to
-            save memory on large sweeps; also skips computing final
-            rows' values, since structure alone determines traffic and
+            save memory on large sweeps; also skips computing output
+            values, since structure alone determines traffic and
             timing).
         semiring: Scalar algebra for the PEs' multiply/accumulate units;
             None selects ordinary (+, x).
         trace: Optional :class:`~repro.core.trace.ExecutionTrace` that
             records one event per executed task.
         metrics: Optional :class:`~repro.obs.MetricsRegistry`; when set,
-            the run executes on the scalar path so per-dispatch samples
-            match the reference engine exactly.
+            the run executes on the reference engine so per-dispatch
+            samples match it exactly.
     """
 
     def __init__(
@@ -192,11 +154,13 @@ class GammaSimulator:
         program: Optional[WorkProgram] = None,
     ) -> SimulationResult:
         """Execute C = A x B; see :meth:`ReferenceGammaSimulator.run`."""
-        if (self.semiring is not None and not self.semiring.is_arithmetic
-                and self.semiring.add_ufunc is None):
+        semiring = self.semiring
+        if self.metrics is not None or (
+                semiring is not None and not semiring.is_arithmetic
+                and semiring.add_ufunc is None):
             return ReferenceGammaSimulator(
                 self.config, self.multi_pe_scheduling, self.keep_output,
-                self.semiring, self.trace, self.metrics,
+                semiring, self.trace, self.metrics,
             ).run(a, b, program=program)
         if a.num_cols != b.num_rows:
             raise ValueError(
@@ -205,363 +169,377 @@ class GammaSimulator:
         if program is None:
             program = WorkProgram.from_matrix(a)
         state = _BatchedRunState(self.config, a, b, program,
-                                 self.multi_pe_scheduling, self.semiring,
-                                 self.trace, self.metrics,
-                                 keep_output=self.keep_output)
+                                 self.multi_pe_scheduling, semiring,
+                                 self.trace, self.keep_output)
         state.execute()
-        return state.result(self.keep_output)
+        return state.result()
 
 
-class _BatchedRunState(_ReferenceRunState):
-    """Run state with a functional leaf pass and epoch timing.
+class _BatchedRunState:
+    """All mutable state of one batched run.
 
-    Inherits all scalar machinery — ``_execute_task``, PE picking,
-    metrics publishing, result assembly — from the reference run state
-    and overrides the main loop to run level-0 leaves as batched epochs
-    over precomputed :class:`_LeafRecords`.
+    Scheduler state mirrors :class:`~repro.core.scheduler.Scheduler`
+    over stream slots instead of task objects: ready-heap entries are
+    ``(row_order, -level, task_id, records, local)``, and a task's slot
+    is ``records.base + local``. ``waiting`` maps a blocked task's slot
+    to ``[missing_children, entry]``, and ``parent`` each registered
+    child to its parent's slot; ``orphans`` holds tiled parts' roots
+    that completed before their combine tree registered. ``made`` maps
+    each dispatched non-final task's slot to ``(finish, line_lo,
+    line_hi)`` until its parent consumes it.
     """
 
-    def __init__(self, config, a, b, program, multi_pe, semiring=None,
-                 trace=None, metrics=None, keep_output=True) -> None:
-        super().__init__(config, a, b, program, multi_pe, semiring,
-                         trace, metrics)
-        # Same construction arguments as the base Scheduler: the epoch
-        # variant is bit-neutral and only adds run extraction.
-        self.scheduler = EpochScheduler(
-            program,
-            radix=config.radix,
-            multi_pe=multi_pe,
-            max_outstanding_partials=2 * config.num_pes,
-            metrics=metrics,
-        )
+    def __init__(self, config, a, b, program, multi_pe, semiring, trace,
+                 keep_output) -> None:
+        self.config = config
+        self.a = a
+        self.b = b
+        self.program = program
+        self.multi_pe = multi_pe
+        self.semiring = semiring
+        self.trace = trace
         self.keep_output = keep_output
-        if config.detailed_pe_model:
-            self.pe_model = _FastDetailedPE(self.pe_model)
-        # Per-dispatch metric samples can't be replayed from batch
-        # aggregates, so metric runs stay on the scalar path throughout.
-        self.use_epochs = metrics is None
-        #: Output-row lengths (c_nnz and C-write sizing) — maintained even
-        #: when output values are skipped.
-        self.output_len: Dict[int, int] = {}
-        #: Leaves dispatched so far: the next leaf's position in the
-        #: program-order leaf stream.
-        self._leaf_pos = 0
-        #: The functional-pass records covering ``_leaf_pos`` (empty
-        #: until the first epoch builds some).
-        self._records = _LeafRecords(0, 0)
+        self.cache = FiberCache(config)
+        self.memory = MemoryInterface(config.bytes_per_cycle,
+                                      config.memory_latency_cycles)
+        num_pes = config.num_pes
+        #: PE availability: heap of (free_time, pe_id).
+        self.pe_free = [(0.0, pe) for pe in range(num_pes)]
+        self.pe_free_times = [0.0] * num_pes
+        self.pe_busy_cycles = [0.0] * num_pes
+        self.row_pe: Dict[int, int] = {}
+        #: Result-less C writes and partial writebacks, flushed in issue
+        #: order before any request whose completion time is used.
+        self.deferred: List = []
+        self.output_rows: Dict[int, Fiber] = {}
+        self.c_nnz = 0
+        self.flops = 0
+        self.pe_busy = 0.0
+        self.num_tasks = 0
+        self.num_partials = 0
+        self.now = 0.0
+        # Scheduler state (see the class docstring).
+        self.target = 2 * num_pes
+        self.max_partials = 2 * num_pes
+        self.outstanding = 0
+        self.cursor = 0
+        self.ready: List = []
+        self.waiting: Dict[int, List] = {}
+        self.parent: Dict[int, int] = {}
+        self.orphans: set = set()
+        self.made: Dict[int, tuple] = {}
+        # Functional-pass state: the latest records, parts of tiled rows
+        # whose combine tree is not built yet (row -> part-root slots),
+        # and retained outputs of parts merged in an earlier chunk.
+        self.num_items = len(program.items)
+        self.records = _TaskRecords(0, 0, 0)
+        self.row_parts: Dict[int, List[int]] = {}
+        self.retained: Dict[int, tuple] = {}
 
-    # -- main loop --------------------------------------------------------
+    # -- timing pass ------------------------------------------------------
     def execute(self) -> None:
-        """Epoch-batched list scheduling.
+        """Event-ordered list scheduling, one dispatch at a time.
 
-        Identical decision sequence to the reference event loop. Whenever
-        the ready head is a level-0 leaf, the run of leaves whose
-        dispatch order is provably timing-independent executes as one
-        epoch; interior merges and root emits take the scalar path.
+        The reference loop's decision sequence exactly; runs of final
+        leaves with no tree in flight take the cursor-stretch fast path.
         """
-        target_pending = 2 * self.config.num_pes
+        num_items = self.num_items
+        target = self.target
+        max_partials = self.max_partials
+        ready = self.ready
+        waiting = self.waiting
+        made = self.made
+        deferred = self.deferred
         completions: List = []
         sequence = 0
-        scheduler = self.scheduler
-        items = self.program.items
-        use_epochs = self.use_epochs
+        multi = self.multi_pe
+        pe_free = self.pe_free
+        free_times = self.pe_free_times
+        busy_cycles = self.pe_busy_cycles
+        row_pe = self.row_pe
+        memory = self.memory
+        request = memory.request
+        request_epoch = memory.request_epoch
+        cache = self.cache
+        fetch = cache.fetch_read_ranges
+        consume = cache.consume_range
+        write = cache.write_range
+        sample = cache.sample_utilization
+        trace = self.trace
+        refill = self._refill
+        complete = self._complete
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        partial_cursor = _PARTIAL_BASE_LINE
+        dispatched = 0
+        partials = 0
+        pe_busy = 0.0
         while True:
-            scheduler.refill(target_pending, allow_force=not completions)
-            next_pe_time = self._next_pe_time()
+            # ``_refill``'s own conditions, checked inline: most
+            # iterations have nothing to expand.
+            if self.cursor < num_items and (
+                    not ready and not completions
+                    or len(ready) < target
+                    and self.outstanding < max_partials):
+                refill(not completions)
+            if not multi:
+                while pe_free[0][0] != free_times[pe_free[0][1]]:
+                    heappop(pe_free)
+            next_pe_time = pe_free[0][0]
             while completions and completions[0][0] <= next_pe_time:
-                _, _, done = heapq.heappop(completions)
-                if done is not None:
-                    scheduler.task_completed(done)
-                scheduler.refill(target_pending,
-                                 allow_force=not completions)
-            if use_epochs:
-                head = scheduler.peek_ready()
-                if head is not None and head.level == 0:
-                    sequence = self._execute_leaves(
-                        head, completions, sequence, target_pending)
+                slot = heappop(completions)[2]
+                if slot is not None:
+                    complete(slot)
+                if self.cursor < num_items:
+                    refill(not completions)
+            if ready:
+                _, neg_level, task_id, rec, t = ready[0]
+                final = rec.finals[t]
+                if final and not neg_level and not waiting:
+                    sequence = self._stretch(completions, sequence)
                     continue
-            task = scheduler.next_task()
-            if task is not None:
-                sequence = self._dispatch_scalar(task, completions, sequence)
+                heappop(ready)
+                row = rec.rows[t]
+                if multi:
+                    start, pe = heappop(pe_free)
+                else:
+                    pe = row_pe.get(row)
+                    if pe is None:
+                        while pe_free[0][0] != free_times[pe_free[0][1]]:
+                            heappop(pe_free)
+                        pe = pe_free[0][1]
+                        row_pe[row] = pe
+                    start = free_times[pe]
+                slot = rec.base + t
+                partial_miss = 0
+                kids = rec.kids[t]
+                if kids:
+                    # Partial inputs first, in input order: wait for each
+                    # child's finish and consume its lines.
+                    for offset in kids:
+                        kid_finish, lo, hi = made.pop(slot - offset)
+                        if kid_finish > start:
+                            start = kid_finish
+                        partial_miss += consume(lo, hi)[0]
+                    self.outstanding -= len(kids)
+                b_first = rec.b_first
+                lo = b_first[t]
+                hi = b_first[t + 1]
+                if hi > lo:
+                    lows = rec.low_list
+                    if lows is None:
+                        lows = rec.low_list = rec.lows.tolist()
+                        rec.high_list = rec.highs.tolist()
+                    b_miss, dirty = fetch(lows[lo:hi], rec.high_list[lo:hi])
+                else:
+                    b_miss = dirty = 0
+                cycles = rec.cycles[t]
+                finish = start + cycles
+                if b_miss or partial_miss:
+                    if deferred:
+                        request_epoch(deferred)
+                        deferred.clear()
+                    if b_miss:
+                        data_ready = request("B", b_miss * LINE_BYTES, start)
+                        if data_ready > finish:
+                            finish = data_ready
+                    if partial_miss:
+                        data_ready = request("partial_read",
+                                             partial_miss * LINE_BYTES, start)
+                        if data_ready > finish:
+                            finish = data_ready
+                out_len = rec.out_lens[t]
+                if final:
+                    deferred.append(
+                        ("C", out_len * ELEMENT_BYTES + OFFSET_BYTES, finish))
+                    slot = None
+                else:
+                    # Dispatching a non-final task brings one more partial
+                    # output fiber into existence (Sec. 3.4 budget).
+                    self.outstanding += 1
+                    partials += 1
+                    lo = partial_cursor
+                    partial_cursor += max(
+                        1, -(-out_len * ELEMENT_BYTES // LINE_BYTES))
+                    made[slot] = (finish, lo, partial_cursor)
+                    dirty += write(lo, partial_cursor, "partial")[1]
+                if dirty:
+                    deferred.append(
+                        ("partial_write", dirty * LINE_BYTES, finish))
+                free_times[pe] = finish
+                heappush(pe_free, (finish, pe))
+                busy_cycles[pe] += cycles
+                pe_busy += cycles
+                sample(cycles)
+                if trace is not None:
+                    trace.record(TaskEvent(
+                        task_id=task_id,
+                        row=row,
+                        level=-neg_level,
+                        is_final=final,
+                        pe=pe,
+                        start=start,
+                        finish=finish,
+                        busy_cycles=cycles,
+                        b_miss_lines=b_miss,
+                        partial_miss_lines=partial_miss,
+                    ))
+                heappush(completions, (finish, sequence, slot))
+                sequence += 1
+                dispatched += 1
                 continue
             if completions:
-                if (not scheduler.has_blocked_tasks()
-                        and scheduler._item_cursor >= len(items)):
+                if not waiting and self.cursor >= num_items:
                     # Nothing can become ready anymore: the remaining
-                    # completion drains are bookkeeping no-ops, so skip
-                    # the one-pop-per-iteration tail wholesale.
+                    # completion drains are bookkeeping no-ops.
                     completions.clear()
                     continue
-                _, _, done = heapq.heappop(completions)
-                if done is not None:
-                    scheduler.task_completed(done)
+                slot = heappop(completions)[2]
+                if slot is not None:
+                    complete(slot)
                 continue
-            if scheduler.exhausted:
+            if self.cursor >= num_items and not waiting:
                 break
             raise RuntimeError(
                 "scheduler stalled with blocked tasks outstanding"
             )
-        self._account_a_traffic()
+        self.num_tasks += dispatched
+        self.num_partials += partials
+        self.pe_busy += pe_busy
+        if deferred:
+            request_epoch(deferred)
+            deferred.clear()
+        a_bytes = self.a.nnz * ELEMENT_BYTES
+        a_bytes += num_items * OFFSET_BYTES
+        memory.account("A", a_bytes)
         bandwidth_floor = (
-            self.memory.traffic.total_bytes / self.config.bytes_per_cycle
+            memory.traffic.total_bytes / self.config.bytes_per_cycle
         )
         self.now = max(
-            max(self.pe_free_times, default=0.0),
-            self.memory.busy_until,
+            max(free_times, default=0.0),
+            memory.busy_until,
             bandwidth_floor,
         )
-        if self.metrics is not None:
-            self._publish_run_metrics(bandwidth_floor)
 
-    def _dispatch_scalar(self, task, completions, sequence: int) -> int:
-        """One reference-path dispatch: execute, then queue completion."""
-        finish = self._execute_task(task)
-        heapq.heappush(completions, (finish, sequence, task))
-        return sequence + 1
+    def _refill(self, allow_force: bool) -> None:
+        """``Scheduler.refill``: expand items until enough are in flight."""
+        ready = self.ready
+        num_items = self.num_items
+        while (len(ready) < self.target
+               and self.outstanding < self.max_partials
+               and self.cursor < num_items):
+            self._expand()
+        while allow_force and not ready and self.cursor < num_items:
+            self._expand()
 
-    def _execute_task(self, task):
-        finish = super()._execute_task(task)
-        if task.is_final:
-            self.output_len[task.row] = len(self.output_rows[task.row])
-        return finish
+    def _expand(self) -> None:
+        """Register the next work item's tasks from the records.
 
-    def _execute_leaves(self, head, completions, sequence: int,
-                        target_pending: int) -> int:
-        """Dispatch the ready run of level-0 leaves as one epoch.
-
-        A final-leaf head with nothing that could become ready mid-run
-        opens a cursor stretch. Otherwise the drained run executes under
-        its fence plan — with an infinite fence when nothing can arm,
-        e.g. a tiled row's part whose combine parent is not registered
-        yet — so every leaf dispatches inside an epoch.
+        Task ids are drawn in the reference's expansion order; a task
+        with children waits for those not yet completed (a tiled row's
+        combine tree may find some of its parts already done).
         """
-        scheduler = self.scheduler
-        if head.is_final and not scheduler.has_blocked_tasks():
-            return self._execute_stretch(completions, sequence)
-        entries = scheduler.drain_ready_leaves()
-        ids = [entry[1].task_id for entry in entries]
-        fence, waiters = scheduler.fence_plan(self.finish_time, ids)
-        if fence == _INF and not waiters and head.is_final:
-            # No waiting task can arm during the run (a non-final leaf
-            # would put its armable parent in ``waiters``), so the
-            # cursor fast path applies.
-            scheduler.push_back(entries)
-            return self._execute_stretch(completions, sequence)
-        new_sequence = self._execute_epoch_fenced(
-            entries, ids, fence, waiters, completions, sequence,
-            target_pending)
-        # The main loop drained every completion up to the PE horizon,
-        # so an armed parent's fence lies beyond it: the head dispatches.
-        assert new_sequence > sequence, "fenced epoch dispatched nothing"
-        return new_sequence
-
-    # -- functional pass --------------------------------------------------
-    def _lookahead_records(self) -> _LeafRecords:
-        """Merge the next chunk of the leaf stream ahead of dispatch.
-
-        Walks work items in program order from the end of the current
-        records, listing each item's leaves — the item itself for a
-        simple item (untiled, within the radix: one final leaf), else
-        its task tree's :func:`~repro.core.tasks.leaf_ranges` slices
-        (non-final) — and hands them to :meth:`_leaf_records`, which
-        cuts the chunk at ``_LOOKAHEAD_ELEMENTS`` merged elements.
-        """
-        items = self.program.items
-        num_items = len(items)
-        radix = self.config.radix
-        rows: List[int] = []
-        coord_parts: List = []
-        scale_parts: List = []
-        finals: List[bool] = []
-        item_ends: List[int] = []
-        index = self._records.next_item
-        inputs = 0
-        while index < num_items and inputs < _LOOKAHEAD_ELEMENTS:
-            item = items[index]
-            coords = item.coords
-            values = item.values
-            count = len(coords)
-            if item.num_parts == 1 and count <= radix:
-                rows.append(item.row)
-                coord_parts.append(coords)
-                scale_parts.append(values)
-                finals.append(True)
-            else:
-                for lo, hi in leaf_ranges(count, radix):
-                    rows.append(item.row)
-                    coord_parts.append(coords[lo:hi])
-                    scale_parts.append(values[lo:hi])
-                    finals.append(False)
-            item_ends.append(len(rows))
-            inputs += count
-            index += 1
-        return self._leaf_records(rows, coord_parts, scale_parts, finals,
-                                  item_ends)
-
-    def _leaf_records(self, rows, coord_parts, scale_parts, finals=None,
-                      item_ends=None) -> _LeafRecords:
-        """The functional pass over the next run of leaves.
-
-        ``rows``/``coord_parts``/``scale_parts`` list the leaves from
-        ``_leaf_pos`` on in dispatch order; ``finals`` marks final
-        leaves (all final when None: a cursor stretch, one leaf per
-        item). With ``item_ends`` — the leaf count at the end of each
-        listed work item — the run is cut at the last item boundary
-        within ``_LOOKAHEAD_ELEMENTS`` merged elements.
-
-        One composite-key kernel yields every leaf's output length and,
-        where needed, values: the key ``leaf * num_cols + coord`` makes
-        one stable argsort order all elements by (leaf, coordinate) with
-        ties in input order, so per-group reduction reproduces the
-        scalar fold exactly — zero-started ``np.bincount`` for
-        arithmetic, first-element ``add_ufunc.reduceat`` for semirings.
-        Single-nonempty-input leaves mirror ``linear_combine``'s
-        ``fiber.scale`` shortcut (a direct product, no zero start) to
-        preserve IEEE signed zeros. Values are computed for non-final
-        leaves always (parents merge them) and for final leaves under
-        ``keep_output``, whose rows are stored right away.
-        """
-        b = self.b
-        offsets = b.offsets
-        num = len(rows)
-        counts = np.fromiter(map(len, coord_parts), dtype=np.int64,
-                             count=num)
-        in_rows = (np.concatenate(coord_parts) if num > 1
-                   else np.asarray(coord_parts[0], dtype=np.int64))
-        row_start = offsets[in_rows]
-        nnzs = offsets[in_rows + 1] - row_start
-        first = np.zeros(num + 1, dtype=np.int64)
-        np.cumsum(counts, out=first[1:])
-        totals = np.add.reduceat(nnzs, first[:-1])
-        covered = num  # work items the run covers
-        if item_ends is not None:
-            ends = np.cumsum(totals)[np.asarray(item_ends) - 1]
-            covered = max(1, int(np.searchsorted(
-                ends, _LOOKAHEAD_ELEMENTS, side="right")))
-            if covered < len(item_ends):
-                num = item_ends[covered - 1]
-                used = int(first[num])
-                rows, finals = rows[:num], finals[:num]
-                scale_parts = scale_parts[:num]
-                counts, totals = counts[:num], totals[:num]
-                first = first[:num + 1]
-                row_start, nnzs = row_start[:used], nnzs[:used]
-        prev = self._records
-        rec = _LeafRecords(prev.end, prev.next_item + covered)
-        rec.end = rec.base + num
-        rec.counts = counts
-        rec.first = first.tolist()
-        rec.lows = (row_start * ELEMENT_BYTES) // LINE_BYTES
-        rec.highs = -(-((row_start + nnzs) * ELEMENT_BYTES) // LINE_BYTES)
-        rec.cycles = epoch_cycles(totals).tolist()
-        elements = rec.elements = int(totals.sum())
-        self.flops += elements
-
-        keep = self.keep_output
-        need = None
-        if not keep and finals is not None and not all(finals):
-            need = ~np.fromiter(finals, dtype=bool, count=num)
-        out_lens = np.zeros(num, dtype=np.int64)
-        if elements:
-            input_task = np.repeat(np.arange(num, dtype=np.int64), counts)
-            block_start = np.cumsum(nnzs) - nnzs
-            gather = np.arange(elements, dtype=np.int64)
-            gather += np.repeat(row_start - block_start, nnzs)
-            el_coords = b.coords[gather]
-            el_task = np.repeat(input_task, nnzs)
-            order, flags, out_lens = epoch_merge_groups(
-                el_task, el_coords, b.num_cols, num)
-        rec.out_lens = len_list = out_lens.tolist()
-        if keep or need is not None:
-            if need is None:
-                sel_lens = out_lens
-            else:
-                sel_lens = np.where(need, out_lens, 0)
-            bounds = np.cumsum(sel_lens)
-            starts = bounds - sel_lens
-            if elements:
-                if need is not None:
-                    mask = need[el_task[order]]
-                    order, flags = order[mask], flags[mask]
-                all_scales = (np.concatenate(scale_parts) if num > 1
-                              else np.asarray(scale_parts[0],
-                                              dtype=np.float64))
-                el_scales = np.repeat(all_scales, nnzs)[order]
-                el_values = b.values[gather[order]]
-                semiring = self.semiring
-                arithmetic = semiring is None or semiring.is_arithmetic
-                if arithmetic:
-                    sorted_values = el_values * el_scales
+        index = self.cursor
+        rec = self.records
+        if index >= rec.item_end:
+            rec = self._functional_pass(index)
+        self.cursor = index + 1
+        k = index - rec.item_start
+        first = rec.item_first[k]
+        stop = rec.item_first[k + 1]
+        ready = self.ready
+        waiting = self.waiting
+        parent = self.parent
+        orphans = self.orphans
+        levels = rec.levels
+        kids_of = rec.kids
+        base = rec.base
+        ids = itertools.islice(tasks._task_ids, stop - first)
+        for t, task_id in zip(range(first, stop), ids):
+            entry = (index, -levels[t], task_id, rec, t)
+            kids = kids_of[t]
+            if not kids:
+                heapq.heappush(ready, entry)
+                continue
+            slot = base + t
+            missing = 0
+            for offset in kids:
+                kid = slot - offset
+                if kid in orphans:
+                    orphans.discard(kid)
                 else:
-                    sorted_values = np.asarray(
-                        semiring.mul_array(el_scales, el_values),
-                        dtype=np.float64)
-                out_values = accumulate_groups(sorted_values, flags,
-                                               semiring)
-                out_coords = el_coords[order][flags]
-                if arithmetic:
-                    # linear_combine's single-nonempty shortcut scales
-                    # the fiber directly, with no zero-started fold;
-                    # replay it so -0.0 products survive bit-for-bit.
-                    single = np.bincount(input_task[nnzs > 0],
-                                         minlength=num) == 1
-                    if need is not None:
-                        single &= need
-                    b_values = b.values
-                    for t in np.flatnonzero(single).tolist():
-                        lo = first[t]
-                        j = lo + np.flatnonzero(nnzs[lo:first[t + 1]])[0]
-                        start = row_start[j]
-                        out_values[starts[t]:bounds[t]] = (
-                            b_values[start:start + nnzs[j]]
-                            * all_scales[j])
+                    parent[kid] = slot
+                    missing += 1
+            if missing:
+                waiting[slot] = [missing, entry]
             else:
-                out_coords = np.empty(0, dtype=np.int64)
-                out_values = np.empty(0, dtype=np.float64)
-            rec.out_coords = out_coords
-            rec.out_values = out_values
-            rec.fiber_start = starts.tolist()
-            rec.fiber_end = bounds.tolist()
-        output_len = self.output_len
-        output_rows = self.output_rows
-        for t in (range(num) if finals is None
-                  else itertools.compress(range(num), finals)):
-            row = rows[t]
-            output_len[row] = len_list[t]
-            if keep:
-                output_rows[row] = rec.fiber(t)
-        self._records = rec
-        return rec
+                heapq.heappush(ready, entry)
 
-    # -- timing pass ------------------------------------------------------
-    def _execute_stretch(self, completions, sequence: int) -> int:
-        """Drain and execute a cursor stretch of final leaves as one epoch.
+    def _complete(self, slot: int) -> None:
+        """``Scheduler.task_completed`` for a non-final task."""
+        parent = self.parent.pop(slot, None)
+        if parent is None:
+            self.orphans.add(slot)
+            return
+        record = self.waiting[parent]
+        record[0] -= 1
+        if not record[0]:
+            del self.waiting[parent]
+            heapq.heappush(self.ready, record[1])
 
-        A stretch that starts inside the current records stops at their
-        end (records are consumed in order and each leaf is merged once);
-        past them, the stretch is its own functional-pass run.
+    def _stretch(self, completions, sequence: int) -> int:
+        """Dispatch a cursor stretch of final leaves as one epoch.
+
+        The stretch is exactly the run the reference loop dispatches
+        back-to-back: every expanded final leaf at the ready head, then
+        — once the heap is drained — simple items straight off the
+        cursor up to the first other item or the records' end. With no
+        tree in flight, its per-dispatch refills and completion drains
+        are invisible (final leaves unblock nothing and free no partial
+        budget, and simple-item expansion reads no completion state),
+        so dispatch order is independent of task timing and the
+        lookahead the reference interleaves converges at the next
+        ``refill``. A stretch stays within one records run, whose tasks
+        it covers contiguously.
         """
-        rec = self._records
-        pos = self._leaf_pos
-        if pos < rec.end:
-            rows, task_ids, _, _ = self.scheduler.drain_stretch(
-                rec.end - pos)
-        else:
-            rows, task_ids, coords, scales = self.scheduler.drain_stretch()
-            rec = self._leaf_records(rows, coords, scales)
-        num_tasks = len(rows)
-        offset = pos - rec.base
-        stop = offset + num_tasks
-        in_lo = rec.first[offset]
-        in_hi = rec.first[stop]
-        misses, dirties, occ_b, occ_p = self.cache.fetch_read_epoch(
+        ready = self.ready
+        heappop = heapq.heappop
+        rec = ready[0][3]
+        finals = rec.finals
+        first = stop = ready[0][4]
+        task_ids = []
+        while ready:
+            _, neg_level, task_id, head_rec, t = ready[0]
+            if neg_level or head_rec is not rec or not finals[t]:
+                break
+            assert t == stop, "stretch leaves must be contiguous"
+            heappop(ready)
+            task_ids.append(task_id)
+            stop += 1
+        if not ready and self.outstanding < self.max_partials:
+            # The partial budget never moves during a stretch, so one
+            # check stands in for the reference's per-refill gate.
+            k = start = self.cursor - rec.item_start
+            end = rec.item_end - rec.item_start
+            simple = rec.simple
+            while k < end and simple[k]:
+                k += 1
+            if k > start:
+                assert rec.item_first[start] == stop
+                self.cursor += k - start
+                task_ids.extend(itertools.islice(tasks._task_ids, k - start))
+                stop += k - start
+        num_tasks = stop - first
+        in_lo = rec.b_first[first]
+        in_hi = rec.b_first[stop]
+        cache = self.cache
+        misses, dirties, occ_b, occ_p = cache.fetch_read_epoch(
             rec.lows[in_lo:in_hi], rec.highs[in_lo:in_hi],
-            rec.counts[offset:stop], "B")
-        cycle_list = rec.cycles[offset:stop]
-        len_list = rec.out_lens[offset:stop]
+            rec.counts[first:stop], "B")
+        rows = rec.rows[first:stop]
+        cycle_list = rec.cycles[first:stop]
+        len_list = rec.out_lens[first:stop]
         self.num_tasks += num_tasks
-        self.dispatch_epoch += num_tasks
-        self._leaf_pos += num_tasks
 
         # Bulk time advancement: earliest-free assignment per task, B
         # requests issued at dispatch, result-less charges deferred.
@@ -571,15 +549,12 @@ class _BatchedRunState(_ReferenceRunState):
         busy_cycles = self.pe_busy_cycles
         row_pe = self.row_pe
         memory = self.memory
+        deferred = self.deferred
         trace = self.trace
         heappush = heapq.heappush
-        heappop = heapq.heappop
-        pending: List = []
         finishes: List[float] = []
         pe_busy = 0.0
         threshold = 0.0
-        if trace is not None:
-            from repro.core.trace import TaskEvent
         for i in range(num_tasks):
             row = rows[i]
             if multi:
@@ -595,27 +570,24 @@ class _BatchedRunState(_ReferenceRunState):
                     row_pe[row] = pe
                 start = free_times[pe]
             miss = misses[i]
-            cyc = cycle_list[i]
+            cycles = cycle_list[i]
+            finish = start + cycles
             if miss:
-                if pending:
-                    memory.request_epoch(pending)
-                    pending = []
-                data_ready = memory.request(
-                    "B", miss * LINE_BYTES, start)
-                finish = start + cyc
+                if deferred:
+                    memory.request_epoch(deferred)
+                    deferred.clear()
+                data_ready = memory.request("B", miss * LINE_BYTES, start)
                 if data_ready > finish:
                     finish = data_ready
-            else:
-                finish = start + cyc
             free_times[pe] = finish
             heappush(pe_free, (finish, pe))
-            busy_cycles[pe] += cyc
-            pe_busy += cyc
-            pending.append(
+            busy_cycles[pe] += cycles
+            pe_busy += cycles
+            deferred.append(
                 ("C", len_list[i] * ELEMENT_BYTES + OFFSET_BYTES, finish))
             dirty = dirties[i]
             if dirty:
-                pending.append(
+                deferred.append(
                     ("partial_write", dirty * LINE_BYTES, finish))
             finishes.append(finish)
             if trace is not None:
@@ -627,223 +599,359 @@ class _BatchedRunState(_ReferenceRunState):
                     pe=pe,
                     start=start,
                     finish=finish,
-                    busy_cycles=cyc,
+                    busy_cycles=cycles,
                     b_miss_lines=miss,
                     partial_miss_lines=0,
                 ))
-        if pending:
-            memory.request_epoch(pending)
         self.pe_busy += pe_busy
-        self.cache.sample_utilization_epoch(occ_b, occ_p, cycle_list)
+        cache.sample_utilization_epoch(occ_b, occ_p, cycle_list)
         # Catch up the completion drains the reference loop performed
         # during the stretch: everything finishing by the PE-availability
         # horizon it saw before the last dispatch is already completed.
-        # Epoch tasks are final leaves — completing one is pure
-        # bookkeeping (final ids are never consulted by a dependency
-        # scan) — so drained epoch completions vanish outright and only
-        # the still-in-flight tail enters the completions heap.
-        scheduler = self.scheduler
+        # Final leaves' completions are pure bookkeeping, so drained ones
+        # vanish and only the still-in-flight tail enters the heap.
         while completions and completions[0][0] <= threshold:
-            _, _, done = heappop(completions)
-            if done is not None:
-                scheduler.task_completed(done)
+            slot = heappop(completions)[2]
+            if slot is not None:
+                self._complete(slot)
         for i in range(num_tasks):
             finish = finishes[i]
             if finish > threshold:
                 heappush(completions, (finish, sequence + i, None))
         return sequence + num_tasks
 
-    def _execute_epoch_fenced(self, entries, ids, fence: float, waiters,
-                              completions, sequence: int,
-                              target_pending: int) -> int:
-        """Execute a leaf run bounded by a ready-fence.
+    # -- functional pass --------------------------------------------------
+    def _functional_pass(self, start: int) -> _TaskRecords:
+        """Merge the task graphs of the next chunk of work items.
 
-        With task trees in flight, the reference loop keeps dispatching
-        level-0 leaves back-to-back until its PE-availability horizon
-        reaches the *fence* — the earliest time a completion drain can
-        make a waiting parent ready (``EpochScheduler.fence_plan``), at
-        which point the parent preempts every later-ordered leaf. This
-        path replays exactly that run from the functional records (built
-        ahead when the run starts past them, and stopping where they
-        end): cache touches stay per-task, so stopping at the fence
-        leaves no phantom state, and the undispatched suffix returns to
-        the ready heap verbatim.
-
-        Both final leaves and non-final tree leaves dispatch here.
-        A non-final leaf allocates and writes its partial-fiber lines in
-        dispatch order (bit-identical cache evolution), publishes its
-        output fiber and finish for dependants, and folds that finish
-        into the ``waiters`` records of parents it helps arm — lowering
-        the fence on the spot, so the stop condition stays exact while
-        the run itself changes which parents are armed. Its completion
-        enters the heap carrying the real task so the drain unblocks
-        the parent exactly like the reference loop's.
-
-        ``entries`` are the raw heap entries from
-        ``drain_ready_leaves``; ``ids`` their task ids in order.
+        A simple item (untiled, within the radix: one final leaf) opens
+        a chunk that runs to the next other item. Any other item opens a
+        chunk cut at the last item boundary within
+        ``_LOOKAHEAD_ELEMENTS`` merged B elements. Each item contributes
+        its :func:`~repro.core.tasks.tree_layout` tasks; the last part
+        of a tiled row adds the row's combine tree.
         """
-        rec = self._records
-        pos = self._leaf_pos
-        if pos == rec.end:
-            rec = self._lookahead_records()
-        base = pos - rec.base
-        num_entries = len(entries)
-        num_batch = min(num_entries, rec.end - pos)
-        tasks = [entry[1] for entry in entries]
-        finals = [task.is_final for task in tasks]
-        lows, highs = rec.range_lists()
-        first = rec.first
-        cycle_list = rec.cycles
-        len_list = rec.out_lens
-        multi = self.multi_pe
-        pe_free = self.pe_free
-        free_times = self.pe_free_times
-        busy_cycles = self.pe_busy_cycles
-        row_pe = self.row_pe
-        memory = self.memory
-        cache = self.cache
-        fetch = cache.fetch_read_range
-        write = cache.write_range
-        sample = cache.sample_utilization
-        allocate = self._allocate_partial_lines
-        partial_fibers = self.partial_fibers
-        partial_lines = self.partial_lines
-        finish_time = self.finish_time
-        trace = self.trace
-        scheduler = self.scheduler
-        refill_epoch = scheduler.refill_epoch
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        pending: List = []
-        finishes: List[float] = []
-        pe_busy = 0.0
-        threshold = 0.0
-        dispatched = num_batch
-        # Runs that dispatch non-final leaves move the partial-output
-        # budget, which gates the reference loop's between-dispatch
-        # refills; replay those refills in-loop so an expansion the
-        # reference performed (or skipped) right at the budget edge
-        # lands identically. All-final runs leave the budget static, so
-        # their refills defer to the main loop unchanged.
-        needs_refill = not all(finals)
-        if trace is not None:
-            from repro.core.trace import TaskEvent
-        for i in range(num_batch):
-            row = tasks[i].row
-            if multi:
-                thr = pe_free[0][0]
+        items = self.program.items
+        num_items = len(items)
+        radix = self.config.radix
+        stop = start
+        item = items[start]
+        if item.num_parts == 1 and len(item.coords) <= radix:
+            while stop < num_items:
+                item = items[stop]
+                if item.num_parts != 1 or len(item.coords) > radix:
+                    break
+                stop += 1
+        else:
+            item_ends = []
+            inputs = 0
+            while stop < num_items and inputs < _LOOKAHEAD_ELEMENTS:
+                inputs += len(items[stop].coords)
+                item_ends.append(inputs)
+                stop += 1
+            offsets = self.b.offsets
+            coords = np.concatenate([items[i].coords
+                                     for i in range(start, stop)])
+            merged = np.zeros(len(coords) + 1, dtype=np.int64)
+            np.cumsum(offsets[coords + 1] - offsets[coords], out=merged[1:])
+            stop = start + max(1, int(np.searchsorted(
+                merged[item_ends], _LOOKAHEAD_ELEMENTS, side="right")))
+
+        base = self.records.base + len(self.records.rows)
+        keep = self.keep_output
+        rec = _TaskRecords(base, start, stop)
+        rows: List[int] = []
+        levels: List[int] = []
+        finals: List[bool] = []
+        kids: List[tuple] = []
+        combine_stages: Dict[int, int] = {}
+        counts: List[int] = []
+        coord_parts: List = []
+        scale_parts: List = []
+        item_first: List[int] = []
+        simple: List[bool] = []
+        new_parts: List = []
+        row_parts = self.row_parts
+        for index in range(start, stop):
+            item = items[index]
+            local = len(rows)
+            item_first.append(local)
+            coords = item.coords
+            count = len(coords)
+            if item.num_parts == 1 and count <= radix:
+                simple.append(True)
+                rows.append(item.row)
+                levels.append(0)
+                finals.append(True)
+                kids.append(())
+                counts.append(count)
+                coord_parts.append(coords)
+                scale_parts.append(item.values)
+                continue
+            simple.append(False)
+            layout = tasks.tree_layout(count, radix)
+            size = len(layout.levels)
+            rows += [item.row] * size
+            levels += layout.levels
+            finals += [False] * size
+            kids += layout.kids
+            counts += layout.counts
+            coord_parts.append(coords[layout.positions])
+            if keep:
+                scale_parts.append(item.values[layout.positions])
+            if item.num_parts == 1:
+                finals[-1] = True
+                continue
+            root = base + len(rows) - 1
+            parts = row_parts.setdefault(item.row, [])
+            parts.append(root)
+            new_parts.append((item.row, root))
+            if len(parts) < item.num_parts:
+                continue
+            # The row's last part: its combine tree follows the part's
+            # tree in task-id order (Scheduler._emit_combine_tasks).
+            del row_parts[item.row]
+            inputs = parts
+            level = 1
+            while True:
+                groups = ([inputs[lo:lo + radix]
+                           for lo in range(0, len(inputs), radix)]
+                          if len(inputs) > radix else [inputs])
+                outputs = []
+                for group in groups:
+                    slot = base + len(rows)
+                    outputs.append(slot)
+                    combine_stages[slot - base] = 1 + max(
+                        [combine_stages.get(g - base, levels[g - base])
+                         for g in group if g >= base], default=-1)
+                    rows.append(item.row)
+                    levels.append(level)
+                    finals.append(len(groups) == 1 and len(inputs) <= radix)
+                    kids.append(tuple([slot - g for g in group]))
+                    counts.append(0)
+                if len(inputs) <= radix:
+                    break
+                inputs = outputs
+                level += 1
+        item_first.append(len(rows))
+        rec.item_first = item_first
+        rec.simple = simple
+        rec.rows = rows
+        rec.levels = levels
+        rec.finals = finals
+        rec.kids = kids
+        rec.counts = np.asarray(counts, dtype=np.int64)
+        b_first = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(rec.counts, out=b_first[1:])
+        rec.b_first = b_first.tolist()
+        in_rows = (np.concatenate(coord_parts) if len(coord_parts) > 1
+                   else np.asarray(coord_parts[0], dtype=np.int64))
+        in_scales = None
+        if keep:
+            in_scales = (np.concatenate(scale_parts) if len(scale_parts) > 1
+                         else np.asarray(scale_parts[0], dtype=np.float64))
+        stages = np.asarray(levels, dtype=np.int64)
+        for t, stage in combine_stages.items():
+            stages[t] = stage
+        pool = self._merge_stages(rec, stages, b_first, in_rows, in_scales,
+                                  bool(new_parts))
+        final_mask = np.asarray(finals, dtype=bool)
+        self.c_nnz += int(pool[2][:len(rows)][final_mask].sum())
+        if keep:
+            output_rows = self.output_rows
+            for t in np.flatnonzero(final_mask).tolist():
+                output_rows[rows[t]] = _make_fiber(*_pool_output(pool, t))
+        # Parts whose combine tree lies in a later chunk keep their
+        # outputs (the reference holds them as live partial fibers).
+        for row, root in new_parts:
+            if row in row_parts:
+                self.retained[root] = _pool_output(pool, root - base)
+        self.records = rec
+        return rec
+
+    def _merge_stages(self, rec, stages, b_first, in_rows, in_scales,
+                      keep_coords):
+        """Run the chunk's merge kernels, one composite-key call per stage.
+
+        A task's stage is one past its deepest in-chunk child's (leaves
+        and combines over earlier chunks' parts: 0), so every stage's
+        inputs are merged before it runs. A task's element stream is its
+        partial inputs' outputs, children in order, then its direct B
+        rows — ``linear_combine``'s input order — so one stable argsort
+        on ``task * num_cols + coord`` orders every task's elements by
+        coordinate with ties in input order, and the group reduction
+        reproduces the scalar fold exactly: zero-started ``np.bincount``
+        for arithmetic, first-element ``add_ufunc.reduceat`` for
+        semirings. Tasks with a single nonempty input mirror
+        ``linear_combine``'s ``fiber.scale`` shortcut (a direct product,
+        no zero start) so IEEE signed zeros survive. Values are computed
+        only under ``keep_output``: lengths alone drive the timing.
+
+        Fills the records' cycles and output lengths, and returns the
+        chunk's output pool for :func:`_pool_output` (the last stage's
+        outputs only under ``keep_output`` or ``keep_coords``: nothing
+        else reads them).
+        """
+        b = self.b
+        offsets = b.offsets
+        num_cols = b.num_cols
+        num_tasks = len(rec.rows)
+        semiring = self.semiring
+        arithmetic = semiring is None or semiring.is_arithmetic
+        one = 1.0 if semiring is None else semiring.one
+        keep = in_scales is not None
+        base = rec.base
+        row_start = offsets[in_rows]
+        nnzs = offsets[in_rows + 1] - row_start
+        rec.lows = (row_start * ELEMENT_BYTES) // LINE_BYTES
+        rec.highs = -(-((row_start + nnzs) * ELEMENT_BYTES) // LINE_BYTES)
+
+        # Children as pool indices: in-chunk tasks first, then the
+        # retained outputs of earlier chunks' parts.
+        kid_counts = np.fromiter(map(len, rec.kids), dtype=np.int64,
+                                 count=num_tasks)
+        offsets_back = np.fromiter(itertools.chain.from_iterable(rec.kids),
+                                   dtype=np.int64,
+                                   count=int(kid_counts.sum()))
+        kid_index = np.repeat(np.arange(num_tasks, dtype=np.int64),
+                              kid_counts) - offsets_back
+        external = (kid_index[kid_index < 0] + base).tolist()
+        if external:
+            kid_index[kid_index < 0] = np.arange(
+                num_tasks, num_tasks + len(external), dtype=np.int64)
+        kid_first = np.zeros(num_tasks + 1, dtype=np.int64)
+        np.cumsum(kid_counts, out=kid_first[1:])
+        out_start = np.zeros(num_tasks + len(external), dtype=np.int64)
+        out_len = np.zeros(num_tasks + len(external), dtype=np.int64)
+        pool_coords = [np.empty(0, dtype=np.int64)]
+        pool_values = [np.empty(0, dtype=np.float64)]
+        pool_size = 0
+        for i, slot in enumerate(external):
+            coords, values = self.retained.pop(slot)
+            out_start[num_tasks + i] = pool_size
+            out_len[num_tasks + i] = len(coords)
+            pool_size += len(coords)
+            pool_coords.append(coords)
+            pool_values.append(values)
+        cycles = np.ones(num_tasks, dtype=np.int64)
+        elements = 0
+        last = int(stages.max())
+        for stage in range(last + 1):
+            pool_coords = [np.concatenate(pool_coords)]
+            if keep:
+                pool_values = [np.concatenate(pool_values)]
+            members = np.flatnonzero(stages == stage)
+            n = len(members)
+            local = np.arange(n, dtype=np.int64)
+            # Partial block: children's outputs, in input order.
+            kc = kid_counts[members]
+            if kc.any():
+                kids = kid_index[_spans(kid_first[members], kc)]
+                k_len = out_len[kids]
+                k_task = np.repeat(local, kc)
+                p_gather = _spans(out_start[kids], k_len)
             else:
-                while pe_free[0][0] != free_times[pe_free[0][1]]:
-                    heappop(pe_free)
-                thr = pe_free[0][0]
-            if thr >= fence:
-                dispatched = i
+                k_len = k_task = p_gather = np.empty(0, dtype=np.int64)
+            # B block: direct B rows, in input order.
+            bc = b_first[members + 1] - b_first[members]
+            inputs = _spans(b_first[members], bc)
+            b_nnz = nnzs[inputs]
+            b_task = np.repeat(local, bc)
+            b_gather = _spans(row_start[inputs], b_nnz)
+            el_task = np.concatenate((np.repeat(k_task, k_len),
+                                      np.repeat(b_task, b_nnz)))
+            el_coords = np.concatenate((pool_coords[0][p_gather],
+                                        b.coords[b_gather]))
+            totals = (np.bincount(k_task, weights=k_len, minlength=n)
+                      + np.bincount(b_task, weights=b_nnz, minlength=n)
+                      ).astype(np.int64)
+            cycles[members] = epoch_cycles(totals)
+            elements += len(el_task)
+            order, flags, lens = epoch_merge_groups(el_task, el_coords,
+                                                    num_cols, n)
+            out_len[members] = lens
+            if stage == last and not (keep or keep_coords):
                 break
-            threshold = thr
-            if multi:
-                start, pe = heappop(pe_free)
+            bounds = np.cumsum(lens)
+            out_start[members] = pool_size + bounds - lens
+            pool_size += int(bounds[-1]) if n else 0
+            pool_coords.append(el_coords[order][flags])
+            if not keep:
+                continue
+            el_values = np.concatenate((pool_values[0][p_gather],
+                                        b.values[b_gather]))
+            el_scales = np.concatenate((
+                np.full(len(p_gather), one, dtype=np.float64),
+                np.repeat(in_scales[inputs], b_nnz)))
+            if arithmetic:
+                products = (el_values * el_scales)[order]
             else:
-                pe = row_pe.get(row)
-                if pe is None:
-                    pe = pe_free[0][1]
-                    row_pe[row] = pe
-                start = free_times[pe]
-            r = base + i
-            miss = 0
-            dirty = 0
-            for j in range(first[r], first[r + 1]):
-                got_miss, got_dirty = fetch(lows[j], highs[j], "B")
-                miss += got_miss
-                dirty += got_dirty
-            cyc = cycle_list[r]
-            if miss:
-                if pending:
-                    memory.request_epoch(pending)
-                    pending = []
-                data_ready = memory.request("B", miss * LINE_BYTES, start)
-                finish = start + cyc
-                if data_ready > finish:
-                    finish = data_ready
-            else:
-                finish = start + cyc
-            free_times[pe] = finish
-            heappush(pe_free, (finish, pe))
-            busy_cycles[pe] += cyc
-            pe_busy += cyc
-            out_len = len_list[r]
-            if finals[i]:
-                pending.append(
-                    ("C", out_len * ELEMENT_BYTES + OFFSET_BYTES, finish))
-            else:
-                tid = ids[i]
-                self.num_partials += 1
-                # Mirror ``Scheduler.next_task``: dispatching a
-                # non-final task brings one more partial output fiber
-                # into existence (Sec. 3.4 budget).
-                scheduler.outstanding_partials += 1
-                lines = allocate(out_len)
-                partial_lines[tid] = lines
-                partial_fibers[tid] = rec.fiber(r)
-                _, write_dirty = write(lines[0], lines[1], "partial")
-                dirty += write_dirty
-                finish_time[tid] = finish
-                records = waiters.get(tid)
-                if records is not None:
-                    for record in records:
-                        if finish > record[1]:
-                            record[1] = finish
-                        record[0] -= 1
-                        if record[0] == 0 and record[1] < fence:
-                            fence = record[1]
-            if dirty:
-                pending.append(
-                    ("partial_write", dirty * LINE_BYTES, finish))
-            finishes.append(finish)
-            sample(weight=cyc)
-            if trace is not None:
-                trace.record(TaskEvent(
-                    task_id=ids[i],
-                    row=row,
-                    level=0,
-                    is_final=finals[i],
-                    pe=pe,
-                    start=start,
-                    finish=finish,
-                    busy_cycles=cyc,
-                    b_miss_lines=miss,
-                    partial_miss_lines=0,
-                ))
-            if needs_refill:
-                refill_epoch(target_pending, num_entries - i - 1)
-        if pending:
-            memory.request_epoch(pending)
-        if dispatched < num_entries:
-            scheduler.push_back(entries[dispatched:])
-        self.num_tasks += dispatched
-        self.dispatch_epoch += dispatched
-        self.pe_busy += pe_busy
-        self._leaf_pos += dispatched
-        # Catch up the completion drains the reference loop performed
-        # during the run, in its exact (finish, sequence) order: merge
-        # the run's own completions into the heap first, then drain
-        # everything up to the horizon it saw before the last dispatch.
-        # Drained finals vanish (their ids are never consulted by a
-        # dependency scan); drained tree leaves unblock their parents —
-        # by the fence invariant none of those parents can have become
-        # ready at or below ``threshold``, so deferring the drains to
-        # the epoch boundary is order-equivalent.
-        for i in range(dispatched):
-            heappush(completions, (finishes[i], sequence + i,
-                                   None if finals[i] else tasks[i]))
-        while completions and completions[0][0] <= threshold:
-            _, _, done = heappop(completions)
-            if done is not None:
-                scheduler.task_completed(done)
-        return sequence + dispatched
+                products = np.asarray(
+                    semiring.mul_array(el_scales, el_values),
+                    dtype=np.float64)[order]
+            values = accumulate_groups(products, flags, semiring)
+            if arithmetic:
+                # linear_combine's single-nonempty shortcut scales the
+                # fiber directly, with no zero-started fold; replay it so
+                # -0.0 products survive bit-for-bit.
+                nonempty = (np.bincount(k_task[k_len > 0], minlength=n)
+                            + np.bincount(b_task[b_nnz > 0], minlength=n))
+                single = (nonempty == 1)[el_task[order]]
+                if single.any():
+                    group = np.cumsum(flags) - 1
+                    values[group[single]] = products[single]
+            pool_values.append(values)
+        rec.elements = elements
+        self.flops += elements
+        rec.cycles = cycles.tolist()
+        rec.out_lens = out_len[:num_tasks].tolist()
+        return (np.concatenate(pool_coords), out_start, out_len,
+                np.concatenate(pool_values) if keep else None)
 
     # -- results ----------------------------------------------------------
-    def c_nnz(self) -> int:
-        return sum(self.output_len.values())
+    def result(self) -> SimulationResult:
+        from repro.analysis.traffic import compulsory_traffic
+
+        output = None
+        if self.keep_output:
+            rows = [
+                self.output_rows.get(r, Fiber.empty())
+                for r in range(self.a.num_rows)
+            ]
+            output = CsrMatrix.from_rows(rows, self.b.num_cols)
+        return SimulationResult(
+            output=output,
+            cycles=self.now,
+            traffic_bytes=self.memory.traffic.breakdown(),
+            compulsory_bytes=compulsory_traffic(self.a, self.b, self.c_nnz),
+            flops=self.flops,
+            pe_busy_cycles=self.pe_busy,
+            num_tasks=self.num_tasks,
+            num_partial_fibers=self.num_partials,
+            cache_utilization=self.cache.average_utilization(),
+            config=self.config,
+            c_nnz=self.c_nnz,
+            dispatch={"scalar": 0, "epoch": self.num_tasks},
+        )
+
+
+def _pool_output(pool, t: int):
+    """A copy of task ``t``'s output (coords, values or None) in a pool."""
+    coords, out_start, out_len, values = pool
+    lo = out_start[t]
+    hi = lo + out_len[t]
+    return (coords[lo:hi].copy(),
+            values[lo:hi].copy() if values is not None else None)
+
+
+def _spans(starts, lengths):
+    """Concatenated ``arange(start, start + length)`` over the pairs."""
+    total = int(lengths.sum())
+    if not total:
+        return np.empty(0, dtype=np.int64)
+    bounds = np.cumsum(lengths)
+    return np.arange(total, dtype=np.int64) + np.repeat(
+        starts - bounds + lengths, lengths)
 
 
 def multiply(

@@ -12,7 +12,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 _task_ids = itertools.count()
 
@@ -87,57 +89,6 @@ class Task:
         footprint (Sec. 3.3).
         """
         return (self.row_order, -self.level, self.task_id)
-
-
-class LeafTask:
-    """Array-backed level-0 task: a slice of one work item.
-
-    Functionally identical to the leaf ``build_task_tree`` builds over
-    the same inputs — same global task-id consumption, level 0, same
-    ``is_final`` — but keeps the slice's B row ids and scaling factors
-    as numpy views instead of materializing one ``TaskInput`` per
-    element. The batched simulator core never reads the inputs of a
-    leaf at dispatch (its functional pass merges leaves straight from
-    the work items); ``inputs`` materializes lazily for the scalar
-    execution path, which stays oblivious.
-    """
-
-    __slots__ = ("task_id", "row", "row_order", "is_final", "b_coords",
-                 "b_scales", "_inputs")
-
-    level = 0
-    children: Tuple = ()
-
-    def __init__(self, task_id: int, row: int, b_coords, b_scales,
-                 row_order: int, is_final: bool = True) -> None:
-        self.task_id = task_id
-        self.row = row
-        self.row_order = row_order
-        self.is_final = is_final
-        self.b_coords = b_coords
-        self.b_scales = b_scales
-        self._inputs = None
-
-    @property
-    def inputs(self) -> List[TaskInput]:
-        if self._inputs is None:
-            self._inputs = [
-                TaskInput("B", coord, scale)
-                for coord, scale in zip(self.b_coords.tolist(),
-                                        self.b_scales.tolist())
-            ]
-        return self._inputs
-
-    @property
-    def num_inputs(self) -> int:
-        return len(self.b_coords)
-
-    def priority_key(self) -> Tuple[int, int, int]:
-        return (self.row_order, 0, self.task_id)
-
-    def __repr__(self) -> str:
-        return (f"LeafTask(task_id={self.task_id}, row={self.row}, "
-                f"num_inputs={self.num_inputs}, is_final={self.is_final})")
 
 
 def build_task_tree(
@@ -284,58 +235,49 @@ def tree_plan(count: int, radix: int) -> Tuple[Tuple, ...]:
     return tuple(plan)
 
 
-@functools.lru_cache(maxsize=1024)
-def leaf_ranges(count: int, radix: int) -> Tuple[Tuple[int, int], ...]:
-    """Input ranges of the tree's leaves, in dispatch (task-id) order."""
-    return tuple(entry for entry in tree_plan(count, radix)
-                 if len(entry) == 2)
+class TreeLayout(NamedTuple):
+    """:func:`tree_plan` as flat per-task fields, in task-id order.
 
-
-def build_leaf_tree(
-    row: int,
-    coords,
-    values,
-    radix: int,
-    row_order: int = 0,
-    emit_final: bool = True,
-) -> List:
-    """:func:`build_task_tree` with array-backed leaves.
-
-    Same tasks, ids, levels, inputs and finality, but every leaf is a
-    :class:`LeafTask` over a slice of ``coords``/``values`` (numpy
-    arrays), so expanding a work item creates no per-element
-    ``TaskInput`` for leaf inputs. Interior merges stay :class:`Task`.
+    Attributes:
+        levels: Each task's tree level (0 = leaf).
+        kids: Each task's children — its partial inputs, in input order —
+            as offsets back from the task (task index minus child index;
+            empty for a leaf), so one tuple serves every tree of the
+            shape.
+        positions: The input positions tasks read straight from B,
+            grouped by task: a leaf's whole range, an interior merge's
+            direct inputs.
+        counts: How many of ``positions`` each task reads.
     """
-    if len(coords) == 0:
-        raise ValueError(f"row {row}: cannot build a task tree with no inputs")
-    tasks: List = []
-    b_rows = scales = None
-    for entry in tree_plan(len(coords), radix):
+
+    levels: Tuple[int, ...]
+    kids: Tuple[Tuple[int, ...], ...]
+    positions: np.ndarray
+    counts: Tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=1024)
+def tree_layout(count: int, radix: int) -> TreeLayout:
+    """The flat :class:`TreeLayout` of ``tree_plan(count, radix)``."""
+    levels: List[int] = []
+    kids: List[Tuple[int, ...]] = []
+    positions: List[int] = []
+    counts: List[int] = []
+    for entry in tree_plan(count, radix):
         if len(entry) == 2:
             lo, hi = entry
-            task = LeafTask(next(_task_ids), row, coords[lo:hi],
-                            values[lo:hi], row_order, is_final=False)
+            levels.append(0)
+            kids.append(())
+            positions.extend(range(lo, hi))
+            counts.append(hi - lo)
         else:
             level, children, direct = entry
-            if direct and b_rows is None:
-                b_rows = coords.tolist()
-                scales = values.tolist()
-            kids = [tasks[index] for index in children]
-            task = Task(
-                task_id=next(_task_ids),
-                row=row,
-                level=level,
-                inputs=(
-                    [TaskInput("partial", kid.task_id, 1.0) for kid in kids]
-                    + [TaskInput("B", b_rows[i], scales[i]) for i in direct]
-                ),
-                is_final=False,
-                row_order=row_order,
-                children=kids,
-            )
-        tasks.append(task)
-    tasks[-1].is_final = emit_final
-    return tasks
+            levels.append(level)
+            kids.append(tuple(len(kids) - child for child in children))
+            positions.extend(direct)
+            counts.append(len(direct))
+    return TreeLayout(tuple(levels), tuple(kids),
+                      np.asarray(positions, dtype=np.int64), tuple(counts))
 
 
 def tree_stats(tasks: Sequence[Task]) -> Tuple[int, int]:

@@ -224,8 +224,8 @@ class RunRecord:
     def scalar_dispatch_fraction(self) -> Optional[float]:
         """Share of tasks dispatched on the scalar path (None if unknown).
 
-        On the batched core these are the interior merges and root
-        emits of task trees; leaves always run in epochs.
+        0 on the batched core, 1 on the reference engine (which also
+        runs every instrumented point).
         """
         if not self.dispatch:
             return None

@@ -89,7 +89,8 @@ class GammaModel:
     """The cycle-level Gamma simulator behind the registry interface.
 
     Backed by the batched :class:`~repro.core.GammaSimulator` (the
-    data-oriented epoch core); ``gamma-ref`` selects the event-ordered
+    data-oriented core: a functional pass over whole task graphs plus
+    one timing loop); ``gamma-ref`` selects the event-ordered
     reference engine instead — both produce bit-identical records, so
     the pair doubles as an end-to-end lockstep check (``--engine`` at
     the CLI picks between them).
@@ -185,7 +186,7 @@ class GammaReferenceModel(GammaModel):
 class GammaSpmvModel(GammaModel):
     """GUST-style SpMV on the Gamma core (``y = A x``).
 
-    Reuses the epoch-batched simulator on the operand collapsed to a
+    Reuses the batched simulator on the operand collapsed to a
     ``k x 1`` vector (see :mod:`repro.baselines.spmv`); the ``operand``
     keyword selects the vector shape (``sparse-vector`` spMspV vs
     ``dense-vector`` classic SpMV; the cross-model default ``matrix``

@@ -11,7 +11,6 @@ DRAM stream breakdown.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import List, Optional
@@ -59,18 +58,6 @@ def profile_point(matrix: str, model: str = "gamma",
         a, b, config, matrix=matrix, variant=variant, multi_pe=multi_pe,
         collect_metrics=True, trace=trace, **extra)
     wall = time.perf_counter() - start
-    if model == "gamma":
-        # Instrumentation forces the batched engine onto its scalar
-        # path, so the instrumented record's dispatch split always reads
-        # 100% scalar. Re-run uninstrumented (cheap relative to the
-        # metrics run) to report the split production sweeps actually
-        # see, and graft it onto the instrumented record.
-        production = get_model(model).run(
-            a, b, config, matrix=matrix, variant=variant,
-            multi_pe=multi_pe, **extra)
-        if production.dispatch is not None:
-            record = dataclasses.replace(
-                record, dispatch=production.dispatch)
     return ProfileRun(record=record, trace=trace, wall_seconds=wall)
 
 
@@ -197,20 +184,12 @@ def _render_dram(lines: List[str], registry: MetricsRegistry) -> None:
     lines.append("")
 
 
-def _render_tasks(lines: List[str], registry: MetricsRegistry,
-                  record: RunRecord) -> None:
+def _render_tasks(lines: List[str], registry: MetricsRegistry) -> None:
     lines.append("-- tasks & scheduling --")
     lines.append(
         f"dispatched {_fmt(registry.counter('tasks/dispatched').value)}  "
         f"(final {_fmt(registry.counter('tasks/final').value)}, "
         f"partial {_fmt(registry.counter('tasks/partial_outputs').value)})")
-    fraction = record.scalar_dispatch_fraction
-    if fraction is not None:
-        dispatch = record.dispatch or {}
-        lines.append(
-            f"dispatch split: scalar {_fmt(dispatch.get('scalar', 0))} / "
-            f"epoch {_fmt(dispatch.get('epoch', 0))}  "
-            f"(scalar fraction {fraction:.1%})")
     level = registry.histogram("task/level")
     inputs = registry.histogram("task/inputs")
     if level.count:
@@ -258,5 +237,5 @@ def render_report(record: RunRecord,
     _render_cache(lines, registry)
     _render_pes(lines, registry)
     _render_dram(lines, registry)
-    _render_tasks(lines, registry, record)
+    _render_tasks(lines, registry)
     return "\n".join(lines).rstrip() + "\n"

@@ -161,3 +161,46 @@ class TestProfileCommand:
     def test_profile_unknown_model(self, capsys):
         assert main(["profile", "nope", "wiki-Vote"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestBrokenPipe:
+    """A reader that closes early (``| head``) ends the CLI quietly."""
+
+    @staticmethod
+    def run_into_closed_pipe(args, tmp_path):
+        """Run the CLI with stdout on a pipe whose reader is already gone,
+        so its first write fails the way ``| head`` makes it fail."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "cache"))
+        env["PYTHONPATH"] = (
+            str(root / "src") + os.pathsep + env.get("PYTHONPATH", ""))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *args], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, env=env, cwd=root,
+                timeout=300)
+        finally:
+            os.close(write_end)
+
+    @pytest.mark.parametrize("command", (["list"], ["suite"]))
+    def test_listing_exits_quietly(self, command, tmp_path):
+        proc = self.run_into_closed_pipe(command, tmp_path)
+        assert proc.stderr == ""
+        assert proc.returncode == 1
+
+    def test_profile_keeps_its_trace(self, tmp_path):
+        from repro.obs import validate_file
+
+        trace_path = tmp_path / "t.jsonl"
+        proc = self.run_into_closed_pipe(
+            ["profile", "gamma", "wiki-Vote", "--trace", str(trace_path)],
+            tmp_path)
+        assert proc.stderr == ""
+        assert validate_file(trace_path) > 0

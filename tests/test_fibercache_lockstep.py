@@ -148,6 +148,29 @@ class TestLockstep:
             assert got == (misses, dirty + read_dirty)
         assert_lockstep(fused, two_pass, "fused vs two-pass")
 
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 40),
+                                       st.integers(1, 6)),
+                             max_size=6), min_size=1, max_size=30),
+           st.sampled_from([TINY, WRAP]))
+    @settings(max_examples=60, deadline=None)
+    def test_multi_range_touch_matches_per_range(self, groups, config):
+        """``fetch_read_ranges`` == one ``fetch_read_range`` per range,
+        summed (on ``WRAP``, ranges past 4 lines overflow the cache on
+        the two-pass fallback, so its read pass misses too)."""
+        grouped = FiberCache(config)
+        per_range = FiberCache(config)
+        for group in groups:
+            lows = [lo for lo, _ in group]
+            highs = [lo + span for lo, span in group]
+            got = grouped.fetch_read_ranges(lows, highs, "B")
+            misses = dirty = 0
+            for lo, hi in zip(lows, highs):
+                m, d = per_range.fetch_read_range(lo, hi, "B")
+                misses += m
+                dirty += d
+            assert got == (misses, dirty)
+        assert_lockstep(grouped, per_range, "grouped vs per-range")
+
     @given(st.lists(RANGE_OPS, max_size=40), st.lists(RANGE_OPS, max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_lockstep_is_order_sensitive_but_deterministic(self, ops_a,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scheduler import Scheduler, WorkItem, WorkProgram
-from repro.core.tasks import build_leaf_tree, build_task_tree, leaf_ranges
+from repro.core.tasks import build_task_tree, tree_layout
 from repro.matrices import generators
 from repro.matrices.builder import CooBuilder
 from repro.matrices.csr import CsrMatrix
@@ -264,34 +264,30 @@ class TestTaskTreeProperties:
             assert leaves == math.ceil(n / radix) == 1 and directs == 0
 
     @PROPERTY
-    @given(case=tree_case(), emit_final=st.booleans())
-    def test_leaf_tree_matches_task_tree(self, case, emit_final):
-        """``build_leaf_tree`` (the batched core's expansion) builds the
-        same tree task for task — levels, finality, inputs, ids in
-        creation order — with leaves that are the ``leaf_ranges``
-        slices of the work item."""
+    @given(case=tree_case())
+    def test_tree_layout_matches_task_tree(self, case):
+        """``tree_layout`` (the batched core's expansion) describes the
+        tree ``build_task_tree`` builds task for task, in creation order:
+        levels, children as partial inputs, then the direct B inputs."""
         b_rows, scales, radix = case
-
-        def shape(tasks):
-            position = {task.task_id: i for i, task in enumerate(tasks)}
-            return [
-                (task.task_id - tasks[0].task_id, task.row, task.level,
-                 task.is_final, task.row_order,
-                 [(inp.kind, position[inp.index]
-                   if inp.kind == "partial" else inp.index, inp.scale)
-                  for inp in task.inputs])
-                for task in tasks
-            ]
-
-        oracle = build_task_tree(3, b_rows, scales, radix, row_order=5,
-                                 emit_final=emit_final)
-        tasks = build_leaf_tree(3, np.asarray(b_rows, dtype=np.int64),
-                                np.asarray(scales), radix, row_order=5,
-                                emit_final=emit_final)
-        assert shape(tasks) == shape(oracle)
-        leaves = [task for task in tasks if task.level == 0]
-        assert [task.b_coords.tolist() for task in leaves] == [
-            b_rows[lo:hi] for lo, hi in leaf_ranges(len(b_rows), radix)]
+        oracle = build_task_tree(3, b_rows, scales, radix)
+        position = {task.task_id: i for i, task in enumerate(oracle)}
+        layout = tree_layout(len(b_rows), radix)
+        assert len(layout.levels) == len(oracle)
+        first = 0
+        for i, task in enumerate(oracle):
+            assert layout.levels[i] == task.level
+            partials = [position[inp.index] for inp in task.inputs
+                        if inp.kind == "partial"]
+            direct = [(inp.index, inp.scale) for inp in task.inputs
+                      if inp.kind == "B"]
+            assert [i - kid for kid in layout.kids[i]] == partials
+            assert [inp.kind for inp in task.inputs] == (
+                ["partial"] * len(partials) + ["B"] * len(direct))
+            span = layout.positions[first:first + layout.counts[i]]
+            first += layout.counts[i]
+            assert direct == [(b_rows[p], scales[p]) for p in span.tolist()]
+        assert first == len(layout.positions)
 
     @PROPERTY
     @given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=8),

@@ -8,16 +8,17 @@ breakdown, same task/flop/utilization accounting. This suite replays
 seeded random CSR pairs through both engines across every execution
 mode — {arithmetic, boolean, tropical} x {multi-PE on/off} x {detailed
 PE model on/off} — on the deliberately tiny ``SMALL_CONFIG`` system so
-evictions, partial spills, and multi-level task trees (leaf epochs
-interleaved with scalar interior merges) all trigger, and asserts exact
+evictions, partial spills, and multi-level task trees (leaf stretches
+interleaved with interior merges) all trigger, and asserts exact
 equality of everything a :class:`~repro.core.result.SimulationResult`
-reports.
+reports. Two slow cases replay suite matrices at the benchmark's deep
+and tiled points.
 
 Trace and metrics artifacts are pinned too: the per-task event stream
 must match field-for-field (after aligning the process-global task-id
 counter), and metrics-collecting runs — which the batched engine
-executes on the scalar path precisely so per-dispatch samples stay
-exact — must serialize identical blobs.
+delegates to the reference engine precisely so per-dispatch samples
+stay exact — must serialize identical blobs.
 
 The golden behavioral fingerprint (``tests/test_golden_fingerprint.py``)
 already runs through the batched core, so the pinned 16-point golden
@@ -162,7 +163,7 @@ def test_lockstep_trace(seed):
 
 @pytest.mark.parametrize("seed", QUICK_SEEDS[:2])
 def test_lockstep_metrics_blob(seed):
-    """Metric runs serialize identical blobs (scalar-path guarantee)."""
+    """Metric runs serialize identical blobs (delegation guarantee)."""
     from repro.obs import MetricsRegistry
 
     a, b = random_pair(seed)
@@ -196,7 +197,7 @@ def test_golden_modes_run():
 
 
 # ---------------------------------------------------------------------------
-# Deep task trees: leaf epochs between scalar interior merges
+# Deep task trees: interior merges between leaf dispatches
 # ---------------------------------------------------------------------------
 
 #: Radix 2 with dense A rows forces task trees of level >= 2, so interior
@@ -213,9 +214,10 @@ def deep_pair(seed):
     """A seeded (A, B) pair whose A rows all exceed ``radix**2`` nonzeros.
 
     Every A row gets 5-16 nonzeros, so at radix 2 each row's task tree
-    has at least three levels (leaves, combines, root), fenced leaf runs
-    interleave with interior merges, and parents arm mid-run — rather
-    than the leaf-only stretches the shallow suite covers.
+    has at least three levels (leaves, combines, root) and leaves of
+    later rows interleave with interior merges that become ready
+    mid-run — rather than the leaf-only stretches the shallow suite
+    covers.
     """
     rng = np.random.default_rng(10_000 + seed)
     m = int(rng.integers(3, 10))
@@ -237,23 +239,29 @@ def deep_pair(seed):
 
 
 def test_deep_pair_dispatch_split():
-    """Leaves dispatch in epochs, interior merges and roots on the scalar path.
+    """Batched runs dispatch everything on one path; metrics runs delegate.
 
     Guards test efficacy — traces must contain interior tasks two levels
     up, otherwise the deep lockstep assertions below would pass
-    vacuously on leaf-only work — and pins the batched core's dispatch
-    contract: every level-0 task runs inside an epoch, every interior or
-    root task through the reference's ``_execute_task``.
+    vacuously on leaf-only work — and pins the dispatch contract: a run
+    without metrics counts every task as an epoch dispatch, and a
+    metrics-collecting run reports the reference engine's split.
     """
+    from repro.obs import MetricsRegistry
+
     a, b = deep_pair(0)
     trace = ExecutionTrace()
     _reset_task_ids()
     result = GammaSimulator(DEEP_CONFIG, trace=trace).run(a, b)
     levels = [e.level for e in trace.events]
     assert max(levels) >= 2, f"no deep trees (levels seen: {set(levels)})"
-    leaves = levels.count(0)
-    assert result.dispatch == {"scalar": len(levels) - leaves,
-                               "epoch": leaves}
+    assert result.num_tasks == len(levels)
+    assert result.dispatch == {"scalar": 0, "epoch": result.num_tasks}
+    metered = GammaSimulator(
+        DEEP_CONFIG, metrics=MetricsRegistry()).run(a, b)
+    reference = ReferenceGammaSimulator(
+        DEEP_CONFIG, metrics=MetricsRegistry()).run(a, b)
+    assert metered.dispatch == reference.dispatch
 
 
 def tiled_case():
@@ -303,52 +311,73 @@ def functional_cases():
     return cases + [tiled_case()]
 
 
-def leaf_input_elements(b, program, radix):
-    """B elements every level-0 leaf consumes, from the oracle's trees."""
-    from repro.core.tasks import build_task_tree
+def task_input_elements(b, program, radix):
+    """Input elements every task merges, from the oracle scheduler's trees.
 
-    b_nnz = np.diff(b.offsets)
+    Expands ``program`` through the reference :class:`Scheduler` — task
+    trees and tiled rows' combine trees alike — completing each task as
+    it dispatches. A B input counts its row's nonzeros; a partial input
+    counts its child's output length, the union of the child's input
+    coordinates.
+    """
+    from repro.core.scheduler import Scheduler
+
+    scheduler = Scheduler(program, radix)
+    outputs = {}
     total = 0
-    for item in program.items:
-        for task in build_task_tree(item.row, item.coords, item.values,
-                                    radix, emit_final=item.num_parts == 1):
-            if task.level == 0:
-                total += sum(int(b_nnz[inp.index]) for inp in task.inputs)
-    return total
+    while True:
+        scheduler.refill(8)
+        task = scheduler.next_task()
+        if task is None:
+            assert scheduler.exhausted
+            return total
+        coords = set()
+        for inp in task.inputs:
+            if inp.kind == "B":
+                lo, hi = b.offsets[inp.index], b.offsets[inp.index + 1]
+                fiber = b.coords[lo:hi].tolist()
+            else:
+                fiber = outputs.pop(inp.index)
+                scheduler.partial_consumed()
+            total += len(fiber)
+            coords.update(fiber)
+        outputs[task.task_id] = coords
+        scheduler.task_completed(task)
 
 
 @pytest.mark.parametrize("lookahead", (None, 1, 24),
                          ids=("default", "one-item", "small"))
-def test_functional_pass_merges_each_leaf_once(monkeypatch, lookahead):
-    """The functional pass merges every leaf exactly once, ahead of dispatch.
+def test_functional_pass_merges_each_task_once(monkeypatch, lookahead):
+    """The functional pass merges every task exactly once, ahead of dispatch.
 
-    The elements its kernel merges must equal the sum of the leaves'
-    input nnz: a leaf merged twice (re-merged after an undispatched
-    suffix is pushed back, or again on the scalar path) or skipped
-    (merged by the scalar path instead) breaks the equality. Small
-    lookahead budgets cut the leaf stream into many chunks, so stretches
-    and fenced runs also stop at chunk ends; every run must still match
-    the reference engine bit for bit.
+    The elements its kernels merge must equal the oracle's sum of every
+    task's input elements — B rows of leaves and direct inputs, and the
+    partial inputs of interior merges and combine trees: a task merged
+    twice, or skipped, breaks the equality. Small lookahead budgets cut
+    the program into many chunks, so task trees of one chunk dispatch
+    next to another chunk's and tiled rows' combine trees merge parts
+    retained from earlier chunks; every run must still match the
+    reference engine bit for bit.
     """
     from repro.core import simulator
 
     if lookahead is not None:
         monkeypatch.setattr(simulator, "_LOOKAHEAD_ELEMENTS", lookahead)
     merged = []
-    build = simulator._BatchedRunState._leaf_records
+    build = simulator._BatchedRunState._functional_pass
 
     def spy(self, *args, **kwargs):
         records = build(self, *args, **kwargs)
         merged.append(records.elements)
         return records
 
-    monkeypatch.setattr(simulator._BatchedRunState, "_leaf_records", spy)
+    monkeypatch.setattr(simulator._BatchedRunState, "_functional_pass", spy)
     for config, a, b, program in functional_cases():
         if program is None:
             program = WorkProgram.from_matrix(a)
         merged.clear()
         batched = GammaSimulator(config).run(a, b, program=program)
-        assert sum(merged) == leaf_input_elements(b, program, config.radix)
+        assert sum(merged) == task_input_elements(b, program, config.radix)
         reference = ReferenceGammaSimulator(config).run(
             a, b, program=program)
         assert_results_identical(reference, batched)
@@ -427,3 +456,41 @@ def test_lockstep_deep_keep_output_false(seed):
         DEEP_CONFIG, keep_output=False).run(a, b)
     batched = GammaSimulator(DEEP_CONFIG, keep_output=False).run(a, b)
     assert_results_identical(reference, batched)
+
+
+# ---------------------------------------------------------------------------
+# Suite scale: the benchmark's deep and tiled points
+# ---------------------------------------------------------------------------
+
+def suite_cases():
+    """roadNet-CA at 8 PEs / radix 2 (the benchmark's deep point), and
+    poisson3Da's ``reorder_tile_all`` program at the scaled config
+    (thousands of tiled parts, hundreds of combine roots)."""
+    import dataclasses
+
+    from repro.engine import scaled_gamma_config
+    from repro.engine.defaults import preprocess_options
+    from repro.matrices import suite
+    from repro.preprocessing import preprocess
+
+    base = scaled_gamma_config()
+    a, b = suite.operands("roadNet-CA")
+    yield dataclasses.replace(base, num_pes=8, radix=2), a, b, None
+    a, b = suite.operands("poisson3Da")
+    program = preprocess(a, b, base, preprocess_options("reorder_tile_all"))
+    assert sum(item.num_parts > 1 for item in program.items) > 1000
+    yield base, a, b, program
+
+
+@pytest.mark.slow
+def test_lockstep_suite_scale():
+    """Suite matrices through both engines: bit-identical results,
+    equal c_nnz, and every batched dispatch on the one timing path."""
+    for config, a, b, program in suite_cases():
+        reference = ReferenceGammaSimulator(config).run(
+            a, b, program=program)
+        batched = GammaSimulator(config).run(a, b, program=program)
+        assert_results_identical(reference, batched)
+        assert batched.c_nnz == reference.c_nnz
+        assert batched.dispatch == {"scalar": 0,
+                                    "epoch": batched.num_tasks}
