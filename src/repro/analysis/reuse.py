@@ -5,12 +5,33 @@ much B-read traffic a row-traversal order incurs under a given on-chip
 capacity. Much cheaper than the line-level FiberCache simulation; used
 where only an estimate is needed (CPU cache model, SpArch prefetch buffer,
 ordering comparisons).
+
+:class:`LruRowCache` is the model one access at a time: an
+``OrderedDict`` in recency order that, on a miss, appends the row and
+evicts from the cold end while the resident bytes exceed the capacity.
+:func:`lru_miss_bytes` computes the same misses with two pointers over
+the access stream. It is exact because the dict's resident set is
+always the longest run of most-recently-used distinct rows whose bytes
+fit in the capacity:
+
+* a hit only reorders that run, so it stays the longest fitting one;
+* a miss puts its row in front, and evicting from the cold end until
+  the bytes fit leaves the longest fitting run of the new order (all of
+  it goes when the row alone exceeds the capacity).
+
+Rows are in that run exactly when their latest access lies at or after
+some position of the stream, the *eviction frontier*. So an access hits
+iff its row's previous access lies at or after the frontier. On a miss
+the frontier advances along the stream until the bytes fit, evicting
+each position it passes that is still its row's latest access.
+:class:`LruRowCache` stays as the kernel's test oracle.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.config import ELEMENT_BYTES
 from repro.matrices.csr import CsrMatrix
@@ -49,20 +70,52 @@ class LruRowCache:
         return self._resident_bytes
 
 
+def lru_miss_bytes(rows, row_bytes: np.ndarray, capacity_bytes: int) -> int:
+    """Bytes an LRU of ``capacity_bytes`` misses on the access stream
+    ``rows`` (row ids; ``row_bytes[r]`` is row r's size).
+
+    Equal to feeding the stream through :class:`LruRowCache`; see the
+    module docstring for the two-pointer kernel and why it is exact.
+    """
+    if capacity_bytes < 0:
+        raise ValueError("capacity must be non-negative")
+    rows = np.asarray(rows, dtype=np.int64)
+    count = len(rows)
+    # Previous and next access of the same row (-1 / count when none).
+    order = np.argsort(rows, kind="stable")
+    same = rows[order[1:]] == rows[order[:-1]]
+    earlier, later = order[:-1][same], order[1:][same]
+    previous = np.full(count, -1, dtype=np.int64)
+    previous[later] = earlier
+    following = np.full(count, count, dtype=np.int64)
+    following[earlier] = later
+    sizes = np.asarray(row_bytes, dtype=np.int64)[rows].tolist()
+    following = following.tolist()
+    frontier = resident = missed = 0
+    for t, prior in enumerate(previous.tolist()):
+        if prior >= frontier:
+            continue
+        size = sizes[t]
+        missed += size
+        resident += size
+        while resident > capacity_bytes:
+            if following[frontier] > t:
+                resident -= sizes[frontier]
+            frontier += 1
+    return missed
+
+
 def b_read_traffic(
-    b_row_stream: Iterable[int],
+    b_row_stream,
     b: CsrMatrix,
     capacity_bytes: int,
 ) -> int:
     """B-read bytes for a stream of B row accesses under LRU capacity."""
-    lengths = b.row_lengths()
-    cache = LruRowCache(capacity_bytes)
-    for row_id in b_row_stream:
-        cache.access(int(row_id), int(lengths[row_id]) * ELEMENT_BYTES)
-    return cache.miss_bytes
+    return lru_miss_bytes(b_row_stream, b.row_lengths() * ELEMENT_BYTES,
+                          capacity_bytes)
 
 
-def gustavson_row_stream(a: CsrMatrix) -> Iterator[int]:
-    """The B rows touched by Gustavson's dataflow, in traversal order."""
-    for coord in a.coords:
-        yield int(coord)
+def gustavson_row_stream(a: CsrMatrix) -> np.ndarray:
+    """The B rows touched by Gustavson's dataflow, in traversal order:
+    A's coordinates."""
+    return a.coords

@@ -22,7 +22,7 @@ wide inputs. A single high-throughput merger bounds compute.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -47,19 +47,17 @@ _PREFETCH_FRACTION = 1.0 / 6.0
 _MERGER_ELEMENTS_PER_CYCLE = 8.0
 
 
-def condensed_column_stream(a: CsrMatrix) -> Iterator[int]:
+def condensed_column_stream(a: CsrMatrix) -> np.ndarray:
     """B rows in SpArch's traversal order: condensed column-major.
 
     Condensed column j holds the j-th nonzero of every row of A; the
     multiply unit walks columns left to right, touching B row k for each
-    nonzero (i, k) it meets.
+    nonzero (i, k) it meets. A's nonzeros are in row order, so a stable
+    sort by position within the row is the (column, row) order.
     """
-    lengths = a.row_lengths()
-    max_len = int(lengths.max()) if len(lengths) else 0
-    for j in range(max_len):
-        rows = np.nonzero(lengths > j)[0]
-        for row in rows:
-            yield int(a.coords[a.offsets[row] + j])
+    rows = np.repeat(np.arange(a.num_rows), a.row_lengths())
+    within = np.arange(a.nnz) - a.offsets[rows]
+    return a.coords[np.argsort(within, kind="stable")]
 
 
 def condensed_width(a: CsrMatrix) -> int:

@@ -1,11 +1,14 @@
 """Work programs and the dynamic scheduler (paper Sec. 3.3).
 
-A :class:`WorkProgram` is the processing-order sequence of :class:`WorkItem`
-fragments of A — one item per row in the default case; reordered and/or
-split into subrows by the Sec. 4 preprocessing. The :class:`Scheduler`
-expands items into task trees, tracks dependencies, bounds the partial-output
-footprint, and hands dispatchable tasks to the simulator in priority order
-(row order first, then higher tree levels).
+A :class:`WorkProgram` is the processing order of A's fragments: one
+per row in the default case; reordered and/or split into subrows by
+the Sec. 4 preprocessing. Every fragment is a contiguous run of one A
+row's nonzeros, so a program is two arrays of nonzero offsets into A
+(the paper's "auxiliary data for indirections"). The
+:class:`Scheduler` expands items into task trees, tracks dependencies,
+bounds the partial-output footprint, and hands dispatchable tasks to
+the simulator in priority order (row order first, then higher tree
+levels).
 """
 
 from __future__ import annotations
@@ -44,46 +47,100 @@ class WorkItem:
         return len(self.coords)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class WorkProgram:
     """The processing-order sequence of work items for one spMspM.
 
-    Attributes:
-        items: Fragments of A in the order the scheduler consumes them.
-        num_rows: Rows of A (= rows of C).
-        num_cols: Columns of A (= rows of B).
+    Item ``i`` is A's nonzeros ``starts[i]:ends[i]``; ``rows``, ``parts``
+    and ``num_parts`` follow from those offsets: the row of C the item
+    contributes to, its subrow index (numbered in processing order) and
+    its row's subrow count. Build programs with :meth:`from_matrix` or
+    :meth:`from_slices`.
     """
 
-    items: List[WorkItem]
-    num_rows: int
-    num_cols: int
+    a: CsrMatrix
+    starts: np.ndarray
+    ends: np.ndarray
+    rows: np.ndarray
+    parts: np.ndarray
+    num_parts: np.ndarray
+
+    @property
+    def num_rows(self) -> int:
+        return self.a.num_rows
+
+    @property
+    def num_cols(self) -> int:
+        return self.a.num_cols
+
+    def __len__(self) -> int:
+        return len(self.starts)
 
     @staticmethod
     def from_matrix(a: CsrMatrix) -> "WorkProgram":
         """The identity program: one item per nonempty row, in row order."""
-        items = []
-        for row in range(a.num_rows):
-            start, end = a.offsets[row], a.offsets[row + 1]
-            if start == end:
-                continue
-            items.append(WorkItem(
-                row=row, part=0, num_parts=1,
-                coords=a.coords[start:end], values=a.values[start:end],
-            ))
-        return WorkProgram(items, a.num_rows, a.num_cols)
+        rows = np.flatnonzero(np.diff(a.offsets))
+        ones = np.ones_like(rows)
+        return WorkProgram(a, a.offsets[rows], a.offsets[rows + 1], rows,
+                           ones - 1, ones)
+
+    @staticmethod
+    def from_slices(a: CsrMatrix, starts, ends) -> "WorkProgram":
+        """The program processing A's nonzeros ``starts[i]:ends[i]`` in
+        order; raises ValueError unless the slices partition A's rows."""
+        starts = np.asarray(starts, dtype=np.int64)
+        ends = np.asarray(ends, dtype=np.int64)
+        layout = _slice_layout(a, starts, ends)
+        if layout is None:
+            raise ValueError("work program does not partition A's rows")
+        return WorkProgram(a, starts, ends, *layout)
+
+    @property
+    def items(self) -> List[WorkItem]:
+        """A fresh per-item view of the program, as views of A."""
+        coords, values = self.a.coords, self.a.values
+        return [
+            WorkItem(row, part, total, coords[lo:hi], values[lo:hi])
+            for row, part, total, lo, hi in zip(
+                self.rows.tolist(), self.parts.tolist(),
+                self.num_parts.tolist(), self.starts.tolist(),
+                self.ends.tolist())
+        ]
 
     def validate_against(self, a: CsrMatrix) -> None:
-        """Check the program covers exactly A's nonzeros (test helper)."""
-        seen: Dict[int, int] = {}
-        for item in self.items:
-            seen[item.row] = seen.get(item.row, 0) + item.nnz
-        for row in range(a.num_rows):
-            expected = a.row_nnz(row)
-            if seen.get(row, 0) != expected:
-                raise ValueError(
-                    f"program covers {seen.get(row, 0)} nonzeros of row "
-                    f"{row}, matrix has {expected}"
-                )
+        """Check the items partition A's rows as laid out (test helper)."""
+        layout = _slice_layout(a, self.starts, self.ends)
+        if layout is None or not all(map(
+                np.array_equal, layout,
+                (self.rows, self.parts, self.num_parts))):
+            raise ValueError(
+                f"program covers {int((self.ends - self.starts).sum())} "
+                f"nonzeros, not one partition of A's {a.nnz} into rows")
+
+
+def _slice_layout(a: CsrMatrix, starts: np.ndarray, ends: np.ndarray):
+    """``(rows, parts, num_parts)`` of valid program slices, else None.
+
+    Valid slices are nonempty, together cover every nonzero of A exactly
+    once, and each lies within one row of A. Subrows of a row are
+    numbered in processing order.
+    """
+    if starts.ndim != 1 or starts.shape != ends.shape:
+        return None
+    by_start = np.argsort(starts, kind="stable")
+    if np.any(starts >= ends) or not np.array_equal(
+            np.append(0, ends[by_start]), np.append(starts[by_start], a.nnz)):
+        return None  # empty, a gap or an overlap
+    rows = np.searchsorted(a.offsets, starts, side="right") - 1
+    if np.any(ends > a.offsets[rows + 1]):
+        return None  # crosses a row boundary
+    by_row = np.argsort(rows, kind="stable")
+    grouped = rows[by_row]
+    parts = np.empty_like(rows)
+    parts[by_row] = (np.arange(len(rows))
+                     - np.searchsorted(grouped, grouped, side="left"))
+    num_parts = np.bincount(rows, minlength=a.num_rows)[rows]
+    return rows, parts, num_parts
 
 
 class Scheduler:
@@ -111,6 +168,7 @@ class Scheduler:
         metrics=None,
     ) -> None:
         self.program = program
+        self._items = program.items
         self.radix = radix
         self.multi_pe = multi_pe
         self.max_outstanding_partials = max_outstanding_partials
@@ -123,9 +181,8 @@ class Scheduler:
         self._dependents: Dict[int, List[int]] = {}
         self.outstanding_partials = 0
         self._completed: set = set()
-        # Multi-part rows: row -> (root task ids seen, items seen).
+        # Multi-part rows: row -> root task ids of the parts seen.
         self._row_parts: Dict[int, List[int]] = {}
-        self._row_parts_seen: Dict[int, int] = {}
         self.tasks_created = 0
         self.items_consumed = 0
 
@@ -134,9 +191,9 @@ class Scheduler:
     # ------------------------------------------------------------------
     def _expand_next_item(self) -> bool:
         """Expand one more work item into tasks. Returns False when done."""
-        if self._item_cursor >= len(self.program.items):
+        if self._item_cursor >= len(self._items):
             return False
-        item = self.program.items[self._item_cursor]
+        item = self._items[self._item_cursor]
         self._item_cursor += 1
         self.items_consumed += 1
         order = next(self._order_counter)
@@ -153,45 +210,34 @@ class Scheduler:
             root = tree[-1]
             parts = self._row_parts.setdefault(item.row, [])
             parts.append(root.task_id)
-            seen = self._row_parts_seen.get(item.row, 0) + 1
-            self._row_parts_seen[item.row] = seen
-            if seen == item.num_parts:
+            if len(parts) == item.num_parts:
+                del self._row_parts[item.row]
                 self._emit_combine_tasks(item.row, parts, order)
         return True
 
     def _emit_combine_tasks(
         self, row: int, part_task_ids: List[int], order: int
     ) -> None:
-        """Create the tree combining a tiled row's subrow partials."""
-        ids = list(part_task_ids)
+        """Create the tree combining a tiled row's subrow partials:
+        radix-wide groups per level, up to one final task."""
+        ids = part_task_ids
         level = 1
-        while len(ids) > self.radix:
-            next_ids: List[int] = []
-            for lo in range(0, len(ids), self.radix):
-                group = ids[lo:lo + self.radix]
-                task = Task(
-                    task_id=next(_task_ids),
-                    row=row,
-                    level=level,
-                    inputs=[TaskInput("partial", i, 1.0) for i in group],
-                    is_final=False,
-                    row_order=order,
-                )
-                self._register_tasks([task])
-                next_ids.append(task.task_id)
-            ids = next_ids
+        while True:
+            final = len(ids) <= self.radix
+            tree = [Task(
+                task_id=next(_task_ids),
+                row=row,
+                level=level,
+                inputs=[TaskInput("partial", i, 1.0)
+                        for i in ids[lo:lo + self.radix]],
+                is_final=final,
+                row_order=order,
+            ) for lo in range(0, len(ids), self.radix)]
+            self._register_tasks(tree)
+            if final:
+                return
+            ids = [task.task_id for task in tree]
             level += 1
-        final = Task(
-            task_id=next(_task_ids),
-            row=row,
-            level=level,
-            inputs=[TaskInput("partial", i, 1.0) for i in ids],
-            is_final=True,
-            row_order=order,
-        )
-        self._register_tasks([final])
-        del self._row_parts[row]
-        del self._row_parts_seen[row]
 
     def _register_tasks(self, tree: Sequence[Task]) -> None:
         push = heapq.heappush
@@ -233,7 +279,7 @@ class Scheduler:
             if not self._expand_next_item():
                 break
         while (allow_force and not self._ready
-               and self._item_cursor < len(self.program.items)):
+               and self._item_cursor < len(self._items)):
             self._expand_next_item()
 
     def next_task(self) -> Optional[Task]:
@@ -279,10 +325,7 @@ class Scheduler:
     def exhausted(self) -> bool:
         """True when every item was expanded and every task dispatched."""
         return (
-            self._item_cursor >= len(self.program.items)
+            self._item_cursor >= len(self._items)
             and not self._ready
             and not self._waiting
         )
-
-    def has_blocked_tasks(self) -> bool:
-        return bool(self._waiting)

@@ -63,7 +63,7 @@ from repro.core.scheduler import WorkProgram
 from repro.core.simulator_ref import (ReferenceGammaSimulator,
                                       _PARTIAL_BASE_LINE)
 from repro.core.trace import TaskEvent
-from repro.matrices.csr import CsrMatrix
+from repro.matrices.csr import CsrMatrix, spans
 from repro.matrices.fiber import Fiber, _make_fiber
 
 #: Merged-element budget of one functional-pass chunk computed ahead of
@@ -231,7 +231,14 @@ class _BatchedRunState:
         # Functional-pass state: the latest records, parts of tiled rows
         # whose combine tree is not built yet (row -> part-root slots),
         # and retained outputs of parts merged in an earlier chunk.
-        self.num_items = len(program.items)
+        self.num_items = len(program)
+        # Item lengths and their running sum (general chunks' budget),
+        # and the items that end a simple run: tiled or wider than the
+        # radix.
+        self.item_lens = program.ends - program.starts
+        self.item_cum = np.concatenate(([0], np.cumsum(self.item_lens)))
+        self.not_simple = np.flatnonzero(
+            (program.num_parts != 1) | (self.item_lens > config.radix))
         self.records = _TaskRecords(0, 0, 0)
         self.row_parts: Dict[int, List[int]] = {}
         self.retained: Dict[int, tuple] = {}
@@ -625,40 +632,82 @@ class _BatchedRunState:
         """Merge the task graphs of the next chunk of work items.
 
         A simple item (untiled, within the radix: one final leaf) opens
-        a chunk that runs to the next other item. Any other item opens a
-        chunk cut at the last item boundary within
-        ``_LOOKAHEAD_ELEMENTS`` merged B elements. Each item contributes
-        its :func:`~repro.core.tasks.tree_layout` tasks; the last part
-        of a tiled row adds the row's combine tree.
+        a chunk that runs to the next other item, taken as slices of the
+        program's arrays. Any other item opens a chunk cut at the last
+        item boundary within ``_LOOKAHEAD_ELEMENTS`` merged B elements
+        (:meth:`_general_chunk`).
         """
-        items = self.program.items
-        num_items = len(items)
-        radix = self.config.radix
-        stop = start
-        item = items[start]
-        if item.num_parts == 1 and len(item.coords) <= radix:
-            while stop < num_items:
-                item = items[stop]
-                if item.num_parts != 1 or len(item.coords) > radix:
-                    break
-                stop += 1
-        else:
-            item_ends = []
-            inputs = 0
-            while stop < num_items and inputs < _LOOKAHEAD_ELEMENTS:
-                inputs += len(items[stop].coords)
-                item_ends.append(inputs)
-                stop += 1
-            offsets = self.b.offsets
-            coords = np.concatenate([items[i].coords
-                                     for i in range(start, stop)])
-            merged = np.zeros(len(coords) + 1, dtype=np.int64)
-            np.cumsum(offsets[coords + 1] - offsets[coords], out=merged[1:])
-            stop = start + max(1, int(np.searchsorted(
-                merged[item_ends], _LOOKAHEAD_ELEMENTS, side="right")))
-
+        program = self.program
         base = self.records.base + len(self.records.rows)
+        at = np.searchsorted(self.not_simple, start)
+        stop = (int(self.not_simple[at]) if at < len(self.not_simple)
+                else self.num_items)
+        if stop > start:
+            rec = _TaskRecords(base, start, stop)
+            size = stop - start
+            rec.rows = program.rows[start:stop].tolist()
+            rec.levels = [0] * size
+            rec.finals = [True] * size
+            rec.kids = [()] * size
+            rec.counts = self.item_lens[start:stop]
+            rec.item_first = list(range(size + 1))
+            rec.simple = [True] * size
+            gather = spans(program.starts[start:stop], rec.counts)
+            combine_stages: Dict[int, int] = {}
+            new_parts: List = []
+        else:
+            rec, gather, combine_stages, new_parts = self._general_chunk(
+                start, base)
+        rows = rec.rows
         keep = self.keep_output
+        b_first = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(rec.counts, out=b_first[1:])
+        rec.b_first = b_first.tolist()
+        stages = np.asarray(rec.levels, dtype=np.int64)
+        for t, stage in combine_stages.items():
+            stages[t] = stage
+        pool = self._merge_stages(
+            rec, stages, b_first, program.a.coords[gather],
+            program.a.values[gather] if keep else None, bool(new_parts))
+        final_mask = np.asarray(rec.finals, dtype=bool)
+        self.c_nnz += int(pool[2][:len(rows)][final_mask].sum())
+        if keep:
+            output_rows = self.output_rows
+            for t in np.flatnonzero(final_mask).tolist():
+                output_rows[rows[t]] = _make_fiber(*_pool_output(pool, t))
+        # Parts whose combine tree lies in a later chunk keep their
+        # outputs (the reference holds them as live partial fibers).
+        for row, root in new_parts:
+            if row in self.row_parts:
+                self.retained[root] = _pool_output(pool, root - base)
+        self.records = rec
+        return rec
+
+    def _general_chunk(self, start: int, base: int):
+        """Records of a chunk opened by an item that is not simple.
+
+        Each item contributes its :func:`~repro.core.tasks.tree_layout`
+        tasks (a simple one, its final leaf); the last part of a tiled
+        row adds the row's combine tree. Returns the records, the
+        positions in A of the tasks' direct B inputs, the combine tasks'
+        stages and the new part roots.
+        """
+        program = self.program
+        radix = self.config.radix
+        item_cum = self.item_cum
+        # Items up to the first whose inputs reach the lookahead budget,
+        # then back to the last boundary within it in merged elements.
+        stop = min(self.num_items, int(np.searchsorted(
+            item_cum, item_cum[start] + _LOOKAHEAD_ELEMENTS)))
+        coords = program.a.coords[spans(program.starts[start:stop],
+                                        self.item_lens[start:stop])]
+        offsets = self.b.offsets
+        merged = np.zeros(len(coords) + 1, dtype=np.int64)
+        np.cumsum(offsets[coords + 1] - offsets[coords], out=merged[1:])
+        stop = start + max(1, int(np.searchsorted(
+            merged[item_cum[start + 1:stop + 1] - item_cum[start]],
+            _LOOKAHEAD_ELEMENTS, side="right")))
+
         rec = _TaskRecords(base, start, stop)
         rows: List[int] = []
         levels: List[int] = []
@@ -666,51 +715,47 @@ class _BatchedRunState:
         kids: List[tuple] = []
         combine_stages: Dict[int, int] = {}
         counts: List[int] = []
-        coord_parts: List = []
-        scale_parts: List = []
+        gathers: List = []
         item_first: List[int] = []
         simple: List[bool] = []
         new_parts: List = []
         row_parts = self.row_parts
-        for index in range(start, stop):
-            item = items[index]
-            local = len(rows)
-            item_first.append(local)
-            coords = item.coords
-            count = len(coords)
-            if item.num_parts == 1 and count <= radix:
+        for row, lo, count, num_parts in zip(
+                program.rows[start:stop].tolist(),
+                program.starts[start:stop].tolist(),
+                self.item_lens[start:stop].tolist(),
+                program.num_parts[start:stop].tolist()):
+            item_first.append(len(rows))
+            if num_parts == 1 and count <= radix:
                 simple.append(True)
-                rows.append(item.row)
+                rows.append(row)
                 levels.append(0)
                 finals.append(True)
                 kids.append(())
                 counts.append(count)
-                coord_parts.append(coords)
-                scale_parts.append(item.values)
+                gathers.append(np.arange(lo, lo + count))
                 continue
             simple.append(False)
-            layout = tasks.tree_layout(count, radix)
-            size = len(layout.levels)
-            rows += [item.row] * size
-            levels += layout.levels
+            tree = tasks.tree_layout(count, radix)
+            size = len(tree.levels)
+            rows += [row] * size
+            levels += tree.levels
             finals += [False] * size
-            kids += layout.kids
-            counts += layout.counts
-            coord_parts.append(coords[layout.positions])
-            if keep:
-                scale_parts.append(item.values[layout.positions])
-            if item.num_parts == 1:
+            kids += tree.kids
+            counts += tree.counts
+            gathers.append(lo + tree.positions)
+            if num_parts == 1:
                 finals[-1] = True
                 continue
             root = base + len(rows) - 1
-            parts = row_parts.setdefault(item.row, [])
+            parts = row_parts.setdefault(row, [])
             parts.append(root)
-            new_parts.append((item.row, root))
-            if len(parts) < item.num_parts:
+            new_parts.append((row, root))
+            if len(parts) < num_parts:
                 continue
             # The row's last part: its combine tree follows the part's
             # tree in task-id order (Scheduler._emit_combine_tasks).
-            del row_parts[item.row]
+            del row_parts[row]
             inputs = parts
             level = 1
             while True:
@@ -724,7 +769,7 @@ class _BatchedRunState:
                     combine_stages[slot - base] = 1 + max(
                         [combine_stages.get(g - base, levels[g - base])
                          for g in group if g >= base], default=-1)
-                    rows.append(item.row)
+                    rows.append(row)
                     levels.append(level)
                     finals.append(len(groups) == 1 and len(inputs) <= radix)
                     kids.append(tuple([slot - g for g in group]))
@@ -734,40 +779,14 @@ class _BatchedRunState:
                 inputs = outputs
                 level += 1
         item_first.append(len(rows))
-        rec.item_first = item_first
-        rec.simple = simple
         rec.rows = rows
         rec.levels = levels
         rec.finals = finals
         rec.kids = kids
         rec.counts = np.asarray(counts, dtype=np.int64)
-        b_first = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(rec.counts, out=b_first[1:])
-        rec.b_first = b_first.tolist()
-        in_rows = (np.concatenate(coord_parts) if len(coord_parts) > 1
-                   else np.asarray(coord_parts[0], dtype=np.int64))
-        in_scales = None
-        if keep:
-            in_scales = (np.concatenate(scale_parts) if len(scale_parts) > 1
-                         else np.asarray(scale_parts[0], dtype=np.float64))
-        stages = np.asarray(levels, dtype=np.int64)
-        for t, stage in combine_stages.items():
-            stages[t] = stage
-        pool = self._merge_stages(rec, stages, b_first, in_rows, in_scales,
-                                  bool(new_parts))
-        final_mask = np.asarray(finals, dtype=bool)
-        self.c_nnz += int(pool[2][:len(rows)][final_mask].sum())
-        if keep:
-            output_rows = self.output_rows
-            for t in np.flatnonzero(final_mask).tolist():
-                output_rows[rows[t]] = _make_fiber(*_pool_output(pool, t))
-        # Parts whose combine tree lies in a later chunk keep their
-        # outputs (the reference holds them as live partial fibers).
-        for row, root in new_parts:
-            if row in row_parts:
-                self.retained[root] = _pool_output(pool, root - base)
-        self.records = rec
-        return rec
+        rec.item_first = item_first
+        rec.simple = simple
+        return rec, np.concatenate(gathers), combine_stages, new_parts
 
     def _merge_stages(self, rec, stages, b_first, in_rows, in_scales,
                       keep_coords):
@@ -846,18 +865,18 @@ class _BatchedRunState:
             # Partial block: children's outputs, in input order.
             kc = kid_counts[members]
             if kc.any():
-                kids = kid_index[_spans(kid_first[members], kc)]
+                kids = kid_index[spans(kid_first[members], kc)]
                 k_len = out_len[kids]
                 k_task = np.repeat(local, kc)
-                p_gather = _spans(out_start[kids], k_len)
+                p_gather = spans(out_start[kids], k_len)
             else:
                 k_len = k_task = p_gather = np.empty(0, dtype=np.int64)
             # B block: direct B rows, in input order.
             bc = b_first[members + 1] - b_first[members]
-            inputs = _spans(b_first[members], bc)
+            inputs = spans(b_first[members], bc)
             b_nnz = nnzs[inputs]
             b_task = np.repeat(local, bc)
-            b_gather = _spans(row_start[inputs], b_nnz)
+            b_gather = spans(row_start[inputs], b_nnz)
             el_task = np.concatenate((np.repeat(k_task, k_len),
                                       np.repeat(b_task, b_nnz)))
             el_coords = np.concatenate((pool_coords[0][p_gather],
@@ -942,16 +961,6 @@ def _pool_output(pool, t: int):
     hi = lo + out_len[t]
     return (coords[lo:hi].copy(),
             values[lo:hi].copy() if values is not None else None)
-
-
-def _spans(starts, lengths):
-    """Concatenated ``arange(start, start + length)`` over the pairs."""
-    total = int(lengths.sum())
-    if not total:
-        return np.empty(0, dtype=np.int64)
-    bounds = np.cumsum(lengths)
-    return np.arange(total, dtype=np.int64) + np.repeat(
-        starts - bounds + lengths, lengths)
 
 
 def multiply(

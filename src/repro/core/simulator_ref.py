@@ -457,7 +457,7 @@ class _ReferenceRunState:
     # -- A-side streaming traffic ----------------------------------------
     def _account_a_traffic(self) -> None:
         a_bytes = self.a.nnz * ELEMENT_BYTES
-        a_bytes += len(self.program.items) * OFFSET_BYTES
+        a_bytes += len(self.program) * OFFSET_BYTES
         self.memory.account("A", a_bytes)
 
     # -- results ------------------------------------------------------------

@@ -338,8 +338,8 @@ def cached_program(matrix: str, variant: str, config: GammaConfig):
     Keys on :func:`preprocess_config_key` — exactly the config fields the
     preprocessing pipeline reads — so PE-count/bandwidth sweeps share one
     program per (matrix, variant, cache size, radix). On disk a program
-    is its fragments' nonzero offsets into A (:func:`program_slices`);
-    an entry that fails validation is a miss, rebuilt and overwritten.
+    is its items' nonzero offsets into A (:func:`program_slices`); an
+    entry that fails validation is a miss, rebuilt and overwritten.
     """
     options = preprocess_options(variant)
     if options is None:
@@ -361,7 +361,7 @@ def cached_program(matrix: str, variant: str, config: GammaConfig):
         a, b = suite.operands(matrix)
         program = preprocess(a, b, config, options)
         if diskcache.cache_enabled():
-            diskcache.store(disk_key, program_slices(program, a))
+            diskcache.store(disk_key, program_slices(program))
     _PROGRAM_MEMO[memo_key] = program
     return program
 
@@ -373,101 +373,33 @@ def program_key(matrix: str, variant: str, config: GammaConfig) -> str:
         **preprocess_config_key(config))
 
 
-def program_slices(program, a) -> Dict:
-    """Encode a work program as ``(start, end)`` nonzero offsets into A.
-
-    Every fragment the pipeline emits is a nonempty contiguous run of one
-    A row, so its offsets, in processing order, are the whole program:
-    rows, subrow numbering and values follow from A (see
-    :func:`program_from_slices`). Raises when the program would not
-    decode back to itself.
-    """
-    items = program.items
-    layout = np.array(
-        [(item.row, item.part, item.num_parts, len(item.coords))
-         for item in items], dtype=np.int64).reshape(-1, 4)
-    rows, lengths = layout[:, 0], layout[:, 3]
-    firsts = np.fromiter((item.coords[0] if len(item.coords) else -1
-                          for item in items), np.int64, len(items))
-    # A's nonzeros are sorted by (row, column): find each fragment's first.
-    nz_rows = np.repeat(np.arange(a.num_rows, dtype=np.int64),
-                        a.row_lengths())
-    starts = np.searchsorted(nz_rows * a.num_cols + a.coords,
-                             rows * a.num_cols + firsts)
-    ends = starts + lengths
-    decoded = _slice_layout(starts, ends, a)
-    if decoded is None or not np.array_equal(np.stack(decoded, axis=1),
-                                             layout[:, :3]):
-        raise ValueError("work program does not partition A's rows")
-    if items:
-        # Position of every fragment nonzero in A, in processing order.
-        gather = np.arange(lengths.sum()) + np.repeat(
-            starts - (np.cumsum(lengths) - lengths), lengths)
-        for name in ("coords", "values"):
-            stored = np.concatenate([getattr(item, name) for item in items])
-            if stored.tobytes() != getattr(a, name)[gather].tobytes():
-                raise ValueError(f"work program {name} are not A's")
-    return {"starts": starts.tolist(), "ends": ends.tolist(),
+def program_slices(program) -> Dict:
+    """A work program's cache payload: its items' ``(start, end)``
+    nonzero offsets into A, in processing order, and A's shape. Rows,
+    subrow numbering and values follow from A (see
+    :func:`program_from_slices`)."""
+    return {"starts": program.starts.tolist(),
+            "ends": program.ends.tolist(),
             "num_rows": program.num_rows, "num_cols": program.num_cols}
 
 
-def _slice_layout(starts, ends, a):
-    """``(rows, parts, num_parts)`` of valid program slices, else None.
-
-    Valid slices are nonempty and in range, each lies within one row of
-    A, and together they cover every nonzero of A exactly once. Subrows
-    of a row are numbered in processing order, as the pipeline emits
-    them.
-    """
-    if starts.ndim != 1 or starts.shape != ends.shape:
-        return None
-    if len(starts) == 0:
-        return (starts,) * 3 if a.nnz == 0 else None
-    if starts.min() < 0 or ends.max() > a.nnz or np.any(starts >= ends):
-        return None
-    rows = np.searchsorted(a.offsets, starts, side="right") - 1
-    if np.any(ends > a.offsets[rows + 1]):
-        return None  # crosses a row boundary
-    by_start = np.argsort(starts, kind="stable")
-    first, last = starts[by_start], ends[by_start]
-    if first[0] != 0 or last[-1] != a.nnz or np.any(first[1:] != last[:-1]):
-        return None  # a gap or an overlap
-    by_row = np.argsort(rows, kind="stable")
-    grouped = rows[by_row]
-    parts = np.empty_like(rows)
-    parts[by_row] = (np.arange(len(rows))
-                     - np.searchsorted(grouped, grouped, side="left"))
-    num_parts = np.bincount(rows, minlength=a.num_rows)[rows]
-    return rows, parts, num_parts
-
-
 def program_from_slices(payload: Dict, a):
-    """Rebuild a program stored by :func:`program_slices` as views of A.
+    """Rebuild a program stored by :func:`program_slices` over A.
 
     Returns None — a cache miss — for a payload of another layout or
-    slices :func:`_slice_layout` rejects.
+    shape, or slices :meth:`WorkProgram.from_slices` rejects.
     """
     from repro.core import WorkProgram
-    from repro.core.scheduler import WorkItem
 
     try:
         starts = np.asarray(payload["starts"], dtype=np.int64)
         ends = np.asarray(payload["ends"], dtype=np.int64)
         shape = (payload["num_rows"], payload["num_cols"])
+        if shape == a.shape:
+            return WorkProgram.from_slices(a, starts, ends)
     except (KeyError, TypeError, ValueError):
-        return None
-    layout = _slice_layout(starts, ends, a) if shape == a.shape else None
-    if layout is None:
-        return None
-    coords, values = a.coords, a.values
-    items = [
-        WorkItem(row=row, part=part, num_parts=total,
-                 coords=coords[start:end], values=values[start:end])
-        for row, part, total, start, end in zip(
-            *(column.tolist() for column in layout),
-            starts.tolist(), ends.tolist())
-    ]
-    return WorkProgram(items, *shape)
+        pass
+    return None
 
 
 # ----------------------------------------------------------------------

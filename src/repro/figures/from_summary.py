@@ -123,17 +123,16 @@ def write_report_figures(output_dir: Union[str, Path],
         for row in summary.get("records", [])
     )).encode("utf-8"))
     entries = []
+    artifacts: Dict[str, bytes] = {}
     for figure_id, title, chart in summary_charts(summary_payload):
         rows = chart_csv_rows(chart)
         data_name = f"{figure_id}.csv"
         spec = vega_lite_spec(chart, data_url=data_name,
                               description=title)
         validate_vega_lite_spec(spec)
-        data = csv_bytes(rows)
-        payload = spec_bytes(spec)
         spec_name = f"{figure_id}.vl.json"
-        (out_dir / data_name).write_bytes(data)
-        (out_dir / spec_name).write_bytes(payload)
+        artifacts[data_name] = csv_bytes(rows)
+        artifacts[spec_name] = spec_bytes(spec)
         entries.append({
             "id": figure_id,
             "title": title,
@@ -142,11 +141,9 @@ def write_report_figures(output_dir: Union[str, Path],
             "spec": spec_name,
             "data": data_name,
             "rows": len(rows),
-            "spec_sha256": sha256_bytes(payload),
-            "data_sha256": sha256_bytes(data),
         })
-    manifest = build_manifest("report", fingerprint, entries)
-    write_manifest(out_dir, manifest)
+    manifest = build_manifest("report", fingerprint, entries, artifacts)
+    write_manifest(out_dir, manifest, artifacts)
     return manifest
 
 

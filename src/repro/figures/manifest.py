@@ -52,20 +52,34 @@ def dumps_manifest(manifest: Dict[str, Any]) -> str:
 
 def build_manifest(scope_name: str,
                    fingerprint: str,
-                   entries: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Assemble the manifest dict from per-figure artifact entries."""
+                   entries: List[Dict[str, Any]],
+                   artifacts: Dict[str, bytes]) -> Dict[str, Any]:
+    """Assemble the manifest dict from per-figure artifact entries.
+
+    Each entry names its ``spec`` and ``data`` files; their SHA-256
+    checksums are taken here from ``artifacts`` (file name -> bytes).
+    """
+    figures = [dict(entry,
+                    spec_sha256=sha256_bytes(artifacts[entry["spec"]]),
+                    data_sha256=sha256_bytes(artifacts[entry["data"]]))
+               for entry in entries]
     return {
         "schema": FIGURES_MANIFEST_VERSION,
         "scope": scope_name,
         "inputs_fingerprint": fingerprint,
-        "num_figures": len(entries),
-        "figures": sorted(entries, key=lambda e: e["id"]),
+        "num_figures": len(figures),
+        "figures": sorted(figures, key=lambda e: e["id"]),
     }
 
 
 def write_manifest(directory: Union[str, Path],
-                   manifest: Dict[str, Any]) -> Path:
-    path = Path(directory) / MANIFEST_FILENAME
+                   manifest: Dict[str, Any],
+                   artifacts: Dict[str, bytes]) -> Path:
+    """Write every artifact (file name -> bytes), then the manifest."""
+    directory = Path(directory)
+    for name, payload in artifacts.items():
+        (directory / name).write_bytes(payload)
+    path = directory / MANIFEST_FILENAME
     path.write_text(dumps_manifest(manifest), encoding="utf-8")
     return path
 

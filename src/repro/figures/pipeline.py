@@ -44,7 +44,6 @@ from repro.figures.manifest import (
     dumps_manifest,
     inputs_fingerprint,
     load_manifest,
-    sha256_bytes,
     write_manifest,
 )
 from repro.figures.scopes import get_scope
@@ -101,6 +100,7 @@ def generate_figures(
     scope_obj = get_scope(scope)
     runner = runner if runner is not None else ExperimentRunner()
     entries: List[Dict[str, Any]] = []
+    artifacts: Dict[str, bytes] = {}
     for generator in _select(only):
         figure = generator.build(scope_obj, runner)
         chart = figure["chart_data"]
@@ -110,11 +110,9 @@ def generate_figures(
             chart, data_url=data_name,
             description=f"{generator.title} ({generator.paper_ref})")
         validate_vega_lite_spec(spec)
-        data = csv_bytes(rows)
-        spec_payload = spec_bytes(spec)
         spec_name = f"{generator.figure_id}.vl.json"
-        (out_dir / data_name).write_bytes(data)
-        (out_dir / spec_name).write_bytes(spec_payload)
+        artifacts[data_name] = csv_bytes(rows)
+        artifacts[spec_name] = spec_bytes(spec)
         entries.append({
             "id": generator.figure_id,
             "title": generator.title,
@@ -123,12 +121,11 @@ def generate_figures(
             "spec": spec_name,
             "data": data_name,
             "rows": len(rows),
-            "spec_sha256": sha256_bytes(spec_payload),
-            "data_sha256": sha256_bytes(data),
         })
     manifest = build_manifest(
-        scope_obj.name, inputs_fingerprint(runner.records()), entries)
-    write_manifest(out_dir, manifest)
+        scope_obj.name, inputs_fingerprint(runner.records()), entries,
+        artifacts)
+    write_manifest(out_dir, manifest, artifacts)
     return manifest
 
 

@@ -16,6 +16,17 @@ from repro.config import ELEMENT_BYTES, OFFSET_BYTES
 from repro.matrices.fiber import Fiber
 
 
+def spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start, start + length)`` over the pairs: the
+    positions of a list of index ranges, in order."""
+    total = int(lengths.sum())
+    if not total:
+        return np.empty(0, dtype=np.int64)
+    bounds = np.cumsum(lengths)
+    return np.arange(total, dtype=np.int64) + np.repeat(
+        starts - bounds + lengths, lengths)
+
+
 class CsrMatrix:
     """A compressed-sparse-row matrix.
 

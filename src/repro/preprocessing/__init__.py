@@ -6,21 +6,14 @@ from repro.preprocessing.pipeline import (
     preprocess_with_report,
 )
 from repro.preprocessing.reorder import affinity_reorder, reorder_for_gamma
-from repro.preprocessing.tiling import (
-    RowFragment,
-    estimate_row_footprint,
-    split_row,
-    tile_matrix,
-)
+from repro.preprocessing.tiling import estimate_row_footprint, tile_matrix
 
 __all__ = [
     "PreprocessReport",
-    "RowFragment",
     "affinity_reorder",
     "estimate_row_footprint",
     "preprocess",
     "preprocess_with_report",
     "reorder_for_gamma",
-    "split_row",
     "tile_matrix",
 ]

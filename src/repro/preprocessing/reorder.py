@@ -9,12 +9,14 @@ affinity with the previous W rows already placed, where the window W
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.config import GammaConfig
 from repro.matrices.csr import CsrMatrix
 from repro.matrices.stats import window_size
-from repro.preprocessing.pqueue import BucketQueue
 
 
 def affinity_reorder(
@@ -25,21 +27,33 @@ def affinity_reorder(
 ) -> List[int]:
     """Compute the greedy affinity-maximizing row permutation.
 
-    Implements Algorithm 1: every unplaced row sits in an indexed max-heap
-    keyed by its affinity with the last ``window`` placed rows. Placing a
-    row increments the keys of all rows sharing a column with it; the row
-    leaving the window decrements them.
+    Implements Algorithm 1: every unplaced row is keyed by its affinity
+    with the last ``window`` placed rows. Placing a row increments the
+    keys of all rows sharing a column with it; the row leaving the
+    window decrements them. Each step places the row of maximum key,
+    the earliest to reach that key on ties.
+
+    The keys are small counts moved by +-1, so the queue is inlined as a
+    bucket queue: ``keys[row]`` and one ``OrderedDict`` of rows per key,
+    trimmed from the top when empty, so the last bucket holds the
+    maximum key. Its linked order finds a bucket's earliest row in O(1)
+    however many rows left it before (a plain dict scans past every
+    deleted entry). A placed row leaves the column lists, so the key
+    updates only ever meet unplaced rows.
 
     Args:
         a: The matrix whose rows to reorder.
         window: Sliding window size W (Eq. 2).
         start_row: Row to place first.
+        max_column_degree: Columns shared by more rows than this are left
+            out of the affinity (default: 8x the mean column degree, at
+            least 64).
 
     Returns:
         Permutation ``pi``: position i holds the original index of the row
         processed i-th.
 
-    Complexity: O(nnz * nnz/row * log rows) — near-linear for sparse A.
+    Complexity: O(nnz * nnz/row) key updates — near-linear for sparse A.
     """
     num_rows = a.num_rows
     if num_rows == 0:
@@ -58,49 +72,53 @@ def affinity_reorder(
     if max_column_degree is None:
         avg_col_degree = a.nnz / max(1, a.num_cols)
         max_column_degree = int(max(64, 8 * avg_col_degree))
-    # Pre-extract adjacency as Python lists: the bump loop is the hot path.
-    row_cols = [
-        a.coords[a.offsets[r]:a.offsets[r + 1]].tolist()
-        for r in range(num_rows)
-    ]
-    col_rows = []
-    for c in range(a.num_cols):
-        rows = transpose.coords[
-            transpose.offsets[c]:transpose.offsets[c + 1]]
-        col_rows.append([] if len(rows) > max_column_degree
-                        else rows.tolist())
+    # Adjacency as Python lists, hub columns left out of the rows': the
+    # key-update loops are the hot path.
+    degrees = np.diff(transpose.offsets)
+    scored = degrees[a.coords] <= max_column_degree
+    scored_offsets = np.concatenate(([0], np.cumsum(scored)))[a.offsets]
+    coords = a.coords[scored].tolist()
+    offsets = scored_offsets.tolist()
+    row_cols = [coords[offsets[r]:offsets[r + 1]] for r in range(num_rows)]
+    members = transpose.coords.tolist()
+    bounds = transpose.offsets.tolist()
+    col_rows = [members[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    queue = BucketQueue()
-    for row in range(num_rows):
-        queue.insert(row, 0)
-
+    keys = [0] * num_rows
+    buckets = [OrderedDict.fromkeys(range(num_rows))]
     permutation = [start_row]
-    queue.remove(start_row)
-    contains = queue.__contains__
-    inc = queue.inc_key
-    dec = queue.dec_key
-
-    def bump_up(placed_row: int) -> None:
-        """incKey every unplaced row sharing a column (entering window)."""
-        for coord in row_cols[placed_row]:
-            for other in col_rows[coord]:
-                if contains(other):
-                    inc(other)
-
-    def bump_down(leaving_row: int) -> None:
-        """decKey every unplaced row sharing a column (leaving window)."""
-        for coord in row_cols[leaving_row]:
-            for other in col_rows[coord]:
-                if contains(other):
-                    dec(other)
-
-    bump_up(start_row)
+    del buckets[0][start_row]
+    for coord in row_cols[start_row]:
+        col_rows[coord].remove(start_row)
+    placed = start_row
     for position in range(1, num_rows):
+        # The last placed row enters the window: incKey its unplaced
+        # affines.
+        for coord in row_cols[placed]:
+            for other in col_rows[coord]:
+                key = keys[other]
+                del buckets[key][other]
+                key += 1
+                if key == len(buckets):
+                    buckets.append(OrderedDict())
+                buckets[key][other] = None
+                keys[other] = key
         if position > window:
-            bump_down(permutation[position - window - 1])
-        chosen = queue.pop()
-        permutation.append(chosen)
-        bump_up(chosen)
+            # The oldest row leaves the window: decKey its affines.
+            for coord in row_cols[permutation[position - window - 1]]:
+                for other in col_rows[coord]:
+                    key = keys[other]
+                    del buckets[key][other]
+                    buckets[key - 1][other] = None
+                    keys[other] = key - 1
+        while not buckets[-1]:
+            buckets.pop()
+        top = buckets[-1]
+        placed = next(iter(top))
+        del top[placed]
+        permutation.append(placed)
+        for coord in row_cols[placed]:
+            col_rows[coord].remove(placed)
     return permutation
 
 

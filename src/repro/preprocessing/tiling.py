@@ -7,73 +7,31 @@ subrows retain more affinity. Oversized subrows are split again recursively.
 Sparse rows are left alone: tiling them would create partial output fibers
 whose spill traffic exceeds the B-reuse gain (the "+T" pathology of
 Fig. 19).
+
+Coordinates within a row are sorted and a split's buckets rise with the
+coordinate, so every subrow is a contiguous run of its row's nonzeros.
+:func:`tile_matrix` therefore returns fragment boundaries (nonzero
+offsets into A) and works one recursion level at a time over all
+nonzeros still being split.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.config import ELEMENT_BYTES, GammaConfig
-from repro.matrices.csr import CsrMatrix
+from repro.matrices.csr import CsrMatrix, spans
 
 
-@dataclass(frozen=True)
-class RowFragment:
-    """A contiguous coordinate-space slice of one A row.
-
-    Attributes:
-        row: Original row index.
-        coords: Column coordinates in this fragment.
-        values: Matching A values.
-    """
-
-    row: int
-    coords: np.ndarray
-    values: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return len(self.coords)
-
-
-def estimate_row_footprint(
-    row_nnz: int, avg_b_row_nnz: float
-) -> float:
+def estimate_row_footprint(row_nnz, avg_b_row_nnz: float):
     """Estimated bytes of B rows one A row pulls into the FiberCache.
 
     The paper estimates footprint as the A row's length times the average
-    nonzeros per row of B (Sec. 4.2).
+    nonzeros per row of B (Sec. 4.2). Works elementwise on arrays.
     """
     return row_nnz * avg_b_row_nnz * ELEMENT_BYTES
-
-
-def split_row(
-    coords: np.ndarray,
-    values: np.ndarray,
-    coord_lo: int,
-    coord_hi: int,
-    radix: int,
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """One round of coordinate-space splitting into up to ``radix`` subrows.
-
-    Splits the coordinate range [coord_lo, coord_hi) into ``radix`` even
-    subranges and buckets the nonzeros; empty subranges produce no subrow.
-    """
-    if coord_hi <= coord_lo:
-        raise ValueError(f"empty coordinate range [{coord_lo}, {coord_hi})")
-    span = coord_hi - coord_lo
-    # Bucket of each nonzero: floor((c - lo) * radix / span).
-    buckets = ((coords - coord_lo) * radix) // span
-    buckets = np.clip(buckets, 0, radix - 1)
-    fragments = []
-    for bucket in range(radix):
-        mask = buckets == bucket
-        if mask.any():
-            fragments.append((coords[mask], values[mask]))
-    return fragments
 
 
 def tile_matrix(
@@ -83,8 +41,16 @@ def tile_matrix(
     threshold_fraction: float = 0.25,
     threshold_bytes: Optional[float] = None,
     selective: bool = True,
-) -> List[RowFragment]:
-    """Tile A's rows, returning fragments in row order.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Tile A's rows, returning fragment boundaries in row order.
+
+    A row to split covers the coordinate range ``[0, num_cols)``. Each
+    round buckets a range's nonzeros into ``radix`` even subranges,
+    ``floor((c - lo) * radix / span)`` clipped to the last bucket, and
+    each nonempty bucket is a subrow. In selective mode a subrow that is
+    still over the threshold, holds more than one nonzero and comes from
+    a range wider than the radix is split again, over the subrange of its
+    first nonzero's bucket (at least one coordinate wide).
 
     Args:
         a: The A matrix.
@@ -98,77 +64,54 @@ def tile_matrix(
             the "+T" ablation.
 
     Returns:
-        Row fragments; untouched rows appear as single whole-row fragments.
-        Empty rows produce no fragment.
+        ``(starts, ends)``: each fragment's nonzero offsets into A,
+        sorted by start. Untouched rows are single whole-row fragments;
+        empty rows produce no fragment.
     """
     config = config or GammaConfig()
     if threshold_bytes is None:
         threshold_bytes = threshold_fraction * config.fibercache_bytes
-    fragments: List[RowFragment] = []
-    for row in range(a.num_rows):
-        start, end = a.offsets[row], a.offsets[row + 1]
-        if start == end:
-            continue
-        coords = a.coords[start:end]
-        values = a.values[start:end]
-        if selective:
-            needs_split = (
-                estimate_row_footprint(len(coords), avg_b_row_nnz)
-                > threshold_bytes
-            )
-        else:
-            needs_split = len(coords) > 1
-        if not needs_split:
-            fragments.append(RowFragment(row, coords, values))
-            continue
-        fragments.extend(
-            _split_recursive(
-                row, coords, values, 0, a.num_cols, config.radix,
-                avg_b_row_nnz, threshold_bytes, selective,
-            )
-        )
-    return fragments
-
-
-def _split_recursive(
-    row: int,
-    coords: np.ndarray,
-    values: np.ndarray,
-    coord_lo: int,
-    coord_hi: int,
-    radix: int,
-    avg_b_row_nnz: float,
-    threshold_bytes: float,
-    selective: bool,
-) -> List[RowFragment]:
-    """Split a row slice; re-split subrows that still exceed the threshold.
-
-    Recursion only applies in selective mode (paper: "this process is
-    repeated recursively" for large matrices); the +T ablation does a
-    single round, as tiling everything recursively would explode.
-    """
-    pieces = split_row(coords, values, coord_lo, coord_hi, radix)
-    fragments: List[RowFragment] = []
-    span = coord_hi - coord_lo
-    for piece_coords, piece_values in pieces:
-        oversized = (
-            selective
-            and estimate_row_footprint(len(piece_coords), avg_b_row_nnz)
+    radix = config.radix
+    rows = np.flatnonzero(np.diff(a.offsets))
+    starts, ends = a.offsets[rows], a.offsets[rows + 1]
+    lengths = ends - starts
+    if selective:
+        split = estimate_row_footprint(lengths, avg_b_row_nnz) \
             > threshold_bytes
-        )
-        if oversized and span > radix and len(piece_coords) > 1:
-            bucket = int(
-                (int(piece_coords[0]) - coord_lo) * radix // span
-            )
-            sub_lo = coord_lo + bucket * span // radix
-            sub_hi = coord_lo + (bucket + 1) * span // radix
-            sub_hi = max(sub_hi, sub_lo + 1)
-            fragments.extend(
-                _split_recursive(
-                    row, piece_coords, piece_values, sub_lo, sub_hi,
-                    radix, avg_b_row_nnz, threshold_bytes, selective,
-                )
-            )
-        else:
-            fragments.append(RowFragment(row, piece_coords, piece_values))
-    return fragments
+    else:
+        split = lengths > 1
+    done = [(starts[~split], ends[~split])]
+    # Ranges still being split: nonzeros [starts, ends), coords [lo, hi).
+    starts, ends = starts[split], ends[split]
+    lo = np.zeros(len(starts), dtype=np.int64)
+    hi = np.full(len(starts), a.num_cols, dtype=np.int64)
+    while len(starts):
+        span = hi - lo
+        owner = np.repeat(np.arange(len(starts)), ends - starts)
+        positions = spans(starts, ends - starts)
+        coords = a.coords[positions]
+        buckets = np.minimum(
+            (coords - lo[owner]) * radix // span[owner], radix - 1)
+        first = np.flatnonzero(np.concatenate((
+            [True], (owner[1:] != owner[:-1])
+            | (buckets[1:] != buckets[:-1]))))
+        lengths = np.diff(np.append(first, len(positions)))
+        owner = owner[first]
+        starts = positions[first]
+        ends = starts + lengths
+        again = (selective
+                 & (estimate_row_footprint(lengths, avg_b_row_nnz)
+                    > threshold_bytes)
+                 & (span[owner] > radix) & (lengths > 1))
+        done.append((starts[~again], ends[~again]))
+        owner, first = owner[again], first[again]
+        starts, ends = starts[again], ends[again]
+        span, lo = span[owner], lo[owner]
+        bucket = (coords[first] - lo) * radix // span
+        sub_lo = lo + bucket * span // radix
+        hi = np.maximum(lo + (bucket + 1) * span // radix, sub_lo + 1)
+        lo = sub_lo
+    starts = np.concatenate([pair[0] for pair in done])
+    ends = np.concatenate([pair[1] for pair in done])
+    order = np.argsort(starts)
+    return starts[order], ends[order]

@@ -7,7 +7,6 @@ equal a serial sweep result-for-result. Small suite matrices keep the
 battery fast.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -379,25 +378,3 @@ class TestProgramCache:
         rebuilt = cached_program(matrix, variant, self.CONFIG)
         assert self.layout(rebuilt) == self.layout(built)
         assert diskcache.load(key) == good
-
-    @pytest.mark.parametrize("change, message", (
-        ("values", "values are not A's"),
-        ("reversed", "does not partition")))
-    def test_program_that_is_not_slices_of_a_is_refused(self, change,
-                                                        message):
-        from repro.core import WorkProgram
-        from repro.engine.sweep import program_slices
-
-        a = suite.load("wiki-Vote")
-        program = WorkProgram.from_matrix(a)
-        index = max(range(len(program.items)),
-                    key=lambda i: program.items[i].nnz)
-        item = program.items[index]
-        if change == "values":
-            item = dataclasses.replace(item, values=item.values * 2)
-        else:
-            item = dataclasses.replace(item, coords=item.coords[::-1],
-                                       values=item.values[::-1])
-        program.items[index] = item
-        with pytest.raises(ValueError, match=message):
-            program_slices(program, a)

@@ -243,6 +243,45 @@ class TestNumberFormatting:
 
 
 # ----------------------------------------------------------------------
+# Writers: every artifact lands through the manifest writer
+# ----------------------------------------------------------------------
+#: A hand-made sweep summary with every section the report charts.
+SUMMARY = {"summary": {
+    "speedup": [{"model": "gamma", "gmean_speedup": 2.5}],
+    "traffic": [{"model": "gamma", "gmean_normalized_traffic": 1.25}],
+    "records": [{"model": model, "matrix": "wiki-Vote", "variant": "none",
+                 "runtime_seconds": seconds, "fingerprint": model}
+                for model, seconds in (("gamma", 0.5), ("mkl", 1.5))],
+}}
+
+
+class TestWriters:
+    """After each writer, the directory holds exactly the manifest's
+    files, and every checksum holds."""
+
+    @staticmethod
+    def assert_exact(directory):
+        manifest = load_manifest(directory)
+        assert manifest["figures"]
+        assert validate_manifest(directory) == []
+        names = {MANIFEST_FILENAME} | {
+            entry[key] for entry in manifest["figures"]
+            for key in ("spec", "data")}
+        assert {path.name for path in directory.iterdir()} == names
+
+    def test_generate_figures(self, tmp_path):
+        generate_figures(tmp_path, only=["area", "dataflows"])
+        self.assert_exact(tmp_path)
+
+    def test_write_report_figures(self, tmp_path):
+        from repro.figures.from_summary import (REPORT_FIGURES_SUBDIR,
+                                                write_report_figures)
+
+        write_report_figures(tmp_path, SUMMARY)
+        self.assert_exact(tmp_path / REPORT_FIGURES_SUBDIR)
+
+
+# ----------------------------------------------------------------------
 # Report embedding: figures ride the deterministic summary
 # ----------------------------------------------------------------------
 def _small_sweep_report(tele_dir, cache_dir, monkeypatch, **kwargs):

@@ -1,10 +1,10 @@
-"""Unit tests for the addressable priority queue."""
+"""Unit tests for the bucket queue behind the Algorithm 1 oracle."""
 
 import random
 
 import pytest
 
-from repro.preprocessing.pqueue import BucketQueue
+from tests.oracles import BucketQueue
 
 
 @pytest.fixture(params=[BucketQueue])

@@ -14,10 +14,16 @@ from repro.preprocessing import (
     estimate_row_footprint,
     preprocess,
     preprocess_with_report,
-    split_row,
     tile_matrix,
 )
 from repro.preprocessing.reorder import is_permutation, reorder_for_gamma
+from tests.oracles import (
+    estimate_b_traffic_loop,
+    preprocess_items,
+    program_items,
+    row_fragments,
+    split_row,
+)
 
 
 class TestAffinityReorder:
@@ -62,11 +68,9 @@ class TestAffinityReorder:
         perm = reorder_for_gamma(scrambled, scrambled, config)
         from repro.core.scheduler import WorkProgram
 
-        reordered = scrambled.permute_rows(perm)
-        program_rows = WorkProgram.from_matrix(reordered)
-        # Remap the program's rows back to original row ids for C.
-        for item in program_rows.items:
-            object.__setattr__(item, "row", perm[item.row])
+        rows = np.array([r for r in perm if scrambled.row_nnz(r)])
+        program_rows = WorkProgram.from_slices(
+            scrambled, scrambled.offsets[rows], scrambled.offsets[rows + 1])
         improved = sim.run(scrambled, scrambled, program=program_rows)
         assert (improved.traffic_bytes["B"]
                 < 0.6 * base.traffic_bytes["B"])
@@ -118,40 +122,43 @@ class TestTileMatrix:
             100, 1000, sparse_nnz_per_row=4.0, dense_row_fraction=0.05,
             dense_row_nnz=400, seed=8)
 
+    @staticmethod
+    def fragment_rows(a, starts):
+        return np.searchsorted(a.offsets, starts, side="right") - 1
+
     def test_selective_tiles_only_dense_rows(self):
         a = self._dense_sparse_matrix()
-        fragments = tile_matrix(
+        starts, _ = tile_matrix(
             a, avg_b_row_nnz=10.0, config=GammaConfig(radix=8),
             threshold_bytes=10_000)
-        frag_rows = {}
-        for frag in fragments:
-            frag_rows.setdefault(frag.row, []).append(frag)
-        for row, frags in frag_rows.items():
+        frags_per_row = np.bincount(self.fragment_rows(a, starts),
+                                    minlength=a.num_rows)
+        for row, count in enumerate(frags_per_row.tolist()):
             if a.row_nnz(row) > 10_000 / (10.0 * 12):
-                assert len(frags) > 1, f"dense row {row} not tiled"
-            else:
-                assert len(frags) == 1, f"sparse row {row} tiled"
+                assert count > 1, f"dense row {row} not tiled"
+            elif a.row_nnz(row):
+                assert count == 1, f"sparse row {row} tiled"
 
     def test_nonselective_tiles_everything(self):
         a = self._dense_sparse_matrix()
-        fragments = tile_matrix(
+        starts, ends = tile_matrix(
             a, avg_b_row_nnz=10.0, config=GammaConfig(radix=8),
             selective=False)
-        multi = sum(1 for f in fragments if f.nnz < a.row_nnz(f.row))
+        rows = self.fragment_rows(a, starts)
+        multi = np.count_nonzero(ends - starts < a.row_lengths()[rows])
         assert multi > 0
-        rows_with_multiple = len(fragments) - len(
-            {f.row for f in fragments})
+        rows_with_multiple = len(starts) - len(np.unique(rows))
         assert rows_with_multiple > 50
 
     def test_fragments_cover_matrix(self):
         a = self._dense_sparse_matrix()
-        fragments = tile_matrix(a, avg_b_row_nnz=10.0,
-                                threshold_bytes=10_000)
-        per_row = {}
-        for frag in fragments:
-            per_row[frag.row] = per_row.get(frag.row, 0) + frag.nnz
-        for row in range(a.num_rows):
-            assert per_row.get(row, 0) == a.row_nnz(row)
+        starts, ends = tile_matrix(a, avg_b_row_nnz=10.0,
+                                   threshold_bytes=10_000)
+        # Sorted, gap-free, within rows: together exactly A's nonzeros.
+        assert starts[0] == 0 and ends[-1] == a.nnz
+        np.testing.assert_array_equal(starts[1:], ends[:-1])
+        rows = self.fragment_rows(a, starts)
+        assert np.all(ends <= a.offsets[rows + 1])
 
     def test_footprint_estimate(self):
         assert estimate_row_footprint(100, 10.0) == 100 * 10 * 12
@@ -165,12 +172,11 @@ class TestTileMatrix:
         a = CsrMatrix.from_rows(
             [Fiber(coords, rng.random(5000), check=False)], 100_000)
         threshold = 50 * 12 * 10.0  # 50 nnz per fragment budget
-        fragments = tile_matrix(
+        starts, ends = tile_matrix(
             a, avg_b_row_nnz=10.0, config=GammaConfig(radix=4),
             threshold_bytes=threshold)
-        assert len(fragments) > 4  # recursion went deeper than one round
-        sizes = [f.nnz for f in fragments]
-        assert max(sizes) <= 5000 / 4  # strictly smaller than one round
+        assert len(starts) > 4  # recursion went deeper than one round
+        assert max(ends - starts) <= 5000 / 4  # smaller than one round
 
 
 class TestPipeline:
@@ -236,7 +242,6 @@ class TestPipeline:
 
 from repro.matrices.builder import CooBuilder  # noqa: E402
 from repro.preprocessing.pipeline import estimate_b_traffic  # noqa: E402
-from repro.preprocessing.tiling import RowFragment  # noqa: E402
 
 #: Deterministic exploration so CI and local runs see identical cases.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -337,17 +342,12 @@ class TestReorderProperties:
         capacity = capacity_kb * 1024
         config = GammaConfig(fibercache_bytes=capacity)
         program = preprocess(a, b, config, PreprocessConfig.reorder_only())
-        fragments = [
-            RowFragment(row, a.coords[a.offsets[row]:a.offsets[row + 1]],
-                        a.values[a.offsets[row]:a.offsets[row + 1]])
-            for row in range(a.num_rows) if a.row_nnz(row) > 0
-        ]
-        index_of = {frag.row: i for i, frag in enumerate(fragments)}
-        chosen = [index_of[item.row] for item in program.items]
-        natural = list(range(len(fragments)))
-        assert sorted(chosen) == natural  # still a permutation
-        assert (estimate_b_traffic(fragments, chosen, b, capacity)
-                <= estimate_b_traffic(fragments, natural, b, capacity))
+        natural = np.flatnonzero(a.row_lengths())
+        assert sorted(program.rows.tolist()) == natural.tolist()
+        chosen = np.concatenate([item.coords for item in program.items]
+                                or [np.empty(0, dtype=np.int64)])
+        assert (estimate_b_traffic(chosen, b, capacity)
+                <= estimate_b_traffic(a.coords, b, capacity))
 
 
 class TestTilingProperties:
@@ -374,8 +374,6 @@ class TestTilingProperties:
 
 # --- Compulsory-floor short-circuit vs the always-reorder oracle -------
 
-from collections import Counter, OrderedDict  # noqa: E402
-
 from repro.config import ELEMENT_BYTES  # noqa: E402
 from repro.engine.defaults import (  # noqa: E402
     MODEL_SCALE,
@@ -384,13 +382,8 @@ from repro.engine.defaults import (  # noqa: E402
 )
 from repro.figures.scopes import QUICK_MATRICES  # noqa: E402
 from repro.matrices import suite  # noqa: E402
-from repro.matrices.fiber import Fiber  # noqa: E402
-from repro.matrices.stats import window_size  # noqa: E402
 from repro.preprocessing import pipeline  # noqa: E402
-from repro.preprocessing.pipeline import (  # noqa: E402
-    PreprocessReport,
-    compulsory_b_traffic,
-)
+from repro.preprocessing.pipeline import compulsory_b_traffic  # noqa: E402
 
 #: The Table 3 common set the cold-sweep benchmark runs (it leaves out
 #: cit-Patents, the slowest).
@@ -403,78 +396,14 @@ CACHE_SIZES = tuple(int(mb * 1024 * 1024 / MODEL_SCALE)
                     for mb in (0.75, 1.5, 3.0, 6.0, 12.0))
 
 
-def estimate_b_traffic_oracle(fragments, order, b, capacity_bytes):
-    """The LRU estimator indexing B's row lengths per touch."""
-    lru = OrderedDict()
-    resident_bytes = 0
-    traffic = 0
-    lengths = b.row_lengths()
-    for index in order:
-        for coord in fragments[index].coords.tolist():
-            row_bytes = int(lengths[coord]) * ELEMENT_BYTES
-            if coord in lru:
-                lru.move_to_end(coord)
-                continue
-            traffic += row_bytes
-            lru[coord] = row_bytes
-            resident_bytes += row_bytes
-            while resident_bytes > capacity_bytes and lru:
-                _, evicted = lru.popitem(last=False)
-                resident_bytes -= evicted
-    return traffic
-
-
-def preprocess_always_reorder(a, b, config, options):
-    """The pipeline without the floor short-circuit: every reorder
-    request builds the fragment matrix, runs Algorithm 1 and keeps the
-    greedy order only when its estimate beats the natural one."""
-    if options.tile:
-        fragments = tile_matrix(
-            a, b.nnz / max(1, b.num_rows), config,
-            threshold_fraction=options.tile_threshold_fraction,
-            threshold_bytes=options.tile_threshold_bytes,
-            selective=options.selective)
-    else:
-        fragments = [
-            RowFragment(row, a.coords[a.offsets[row]:a.offsets[row + 1]],
-                        a.values[a.offsets[row]:a.offsets[row + 1]])
-            for row in range(a.num_rows) if a.row_nnz(row)]
-    parts_per_row = Counter(frag.row for frag in fragments)
-    window = min(window_size(b, config.fibercache_bytes),
-                 max(1, len(fragments) - 1))
-    order = list(range(len(fragments)))
-    reordered = False
-    if options.reorder and len(fragments) > 2:
-        fragment_matrix = CsrMatrix.from_rows(
-            [Fiber(f.coords, f.values, check=False) for f in fragments],
-            a.num_cols)
-        greedy = affinity_reorder(fragment_matrix, window=window)
-        capacity = config.fibercache_bytes
-        if (estimate_b_traffic_oracle(fragments, greedy, b, capacity)
-                < estimate_b_traffic_oracle(fragments, order, b, capacity)):
-            order, reordered = greedy, True
-    seen = Counter()
-    items = []
-    for index in order:
-        frag = fragments[index]
-        items.append((frag.row, seen[frag.row], parts_per_row[frag.row],
-                      frag.coords.tobytes(), frag.values.tobytes()))
-        seen[frag.row] += 1
-    report = PreprocessReport(
-        num_rows=a.num_rows, num_fragments=len(fragments),
-        num_tiled_rows=sum(1 for n in parts_per_row.values() if n > 1),
-        reorder_window=window, reordered=reordered)
-    return items, report
-
-
 def assert_matches_oracle(a, b, config, options):
+    """The whole program and report equal the loop pipeline's, which
+    tiles row by row, reorders through a queue object and always runs
+    Algorithm 1 when asked to reorder."""
     program, report = preprocess_with_report(a, b, config, options)
-    items = [(item.row, item.part, item.num_parts, item.coords.tobytes(),
-              item.values.tobytes()) for item in program.items]
-    want_items, want_report = preprocess_always_reorder(
-        a, b, config, options)
+    want_items, want_report = preprocess_items(a, b, config, options)
     assert report == want_report
-    assert items == want_items
+    assert program_items(program) == want_items
 
 
 class TestFloorShortCircuit:
@@ -511,14 +440,13 @@ class TestFloorShortCircuit:
            seed=st.integers(0, 2**16))
     def test_estimate_matches_oracle(self, pair, capacity, seed):
         a, b = pair
-        fragments = [
-            RowFragment(row, a.coords[a.offsets[row]:a.offsets[row + 1]],
-                        a.values[a.offsets[row]:a.offsets[row + 1]])
-            for row in range(a.num_rows) if a.row_nnz(row)]
+        fragments = row_fragments(a)
         order = np.random.default_rng(seed).permutation(
             len(fragments)).tolist()
-        got = estimate_b_traffic(fragments, order, b, capacity)
-        assert got == estimate_b_traffic_oracle(
+        stream = np.concatenate([fragments[i].coords for i in order]
+                                or [np.empty(0, dtype=np.int64)])
+        got = estimate_b_traffic(stream, b, capacity)
+        assert got == estimate_b_traffic_loop(
             fragments, order, b, capacity)
         assert got >= compulsory_b_traffic(a, b)
 
@@ -537,11 +465,7 @@ class TestFloorShortCircuit:
         a, b = suite.operands(name)
         config = scaled_gamma_config(fibercache_bytes=49152)
         options = preprocess_options("full")
-        fragments = tile_matrix(
-            a, b.nnz / b.num_rows, config,
-            threshold_bytes=options.tile_threshold_bytes)
-        natural = estimate_b_traffic(
-            fragments, range(len(fragments)), b, config.fibercache_bytes)
+        natural = estimate_b_traffic(a.coords, b, config.fibercache_bytes)
         at_floor = natural == compulsory_b_traffic(a, b)
         preprocess_with_report(a, b, config, options)
         assert at_floor is not runs_reorder

@@ -11,9 +11,9 @@ from repro.core.tasks import build_task_tree
 from repro.matrices.builder import CooBuilder
 from repro.matrices.fiber import Fiber, linear_combine
 from repro.matrices.io import matrix_market_string, read_matrix_market
-from repro.preprocessing import affinity_reorder, split_row
-from repro.preprocessing.pqueue import BucketQueue
+from repro.preprocessing import affinity_reorder
 from repro.preprocessing.reorder import is_permutation
+from tests.oracles import BucketQueue, split_row
 
 import io
 import itertools

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scheduler import Scheduler, WorkItem, WorkProgram
+from repro.core.scheduler import Scheduler, WorkProgram
 from repro.core.tasks import build_task_tree, tree_layout
 from repro.matrices import generators
 from repro.matrices.builder import CooBuilder
@@ -45,10 +45,36 @@ class TestWorkProgram:
 
     def test_validate_catches_missing_coverage(self):
         a = generators.uniform_random(20, 20, 3.0, seed=2)
-        program = WorkProgram.from_matrix(a)
-        program.items.pop()
+        whole = WorkProgram.from_matrix(a)
+        program = WorkProgram(a, *(getattr(whole, name)[:-1] for name in (
+            "starts", "ends", "rows", "parts", "num_parts")))
         with pytest.raises(ValueError, match="covers"):
             program.validate_against(a)
+
+    def test_from_slices_derives_the_layout(self):
+        """Subrows are numbered per row in processing order."""
+        a = CsrMatrix.from_dense(np.array([
+            [1.0, 2.0, 3.0], [0.0, 4.0, 0.0]]))
+        program = WorkProgram.from_slices(a, [2, 3, 0], [3, 4, 2])
+        assert program.rows.tolist() == [0, 1, 0]
+        assert program.parts.tolist() == [0, 0, 1]
+        assert program.num_parts.tolist() == [2, 1, 2]
+        assert [item.coords.tolist() for item in program.items] == [
+            [2], [1], [0, 1]]
+
+    @pytest.mark.parametrize("starts, ends", [
+        ([0], [4]),              # crosses into the next row
+        ([0, 1], [2, 4]),        # overlapping
+        ([0], [3]),              # a nonzero left out
+        ([0, 2, 2], [2, 3, 3]),  # a nonzero twice
+        ([0, 2, 3], [2, 2, 4]),  # an empty slice
+        ([0, 2, 3], [2, 3, 5]),  # past the last nonzero
+    ])
+    def test_from_slices_refuses_non_partitions(self, starts, ends):
+        a = CsrMatrix.from_dense(np.array([
+            [1.0, 2.0, 3.0], [0.0, 4.0, 0.0]]))
+        with pytest.raises(ValueError, match="does not partition"):
+            WorkProgram.from_slices(a, starts, ends)
 
 
 class TestSchedulerDispatch:
@@ -99,15 +125,9 @@ class TestSchedulerDispatch:
 
     def test_multipart_row_combine_task(self):
         """Tiled rows end with a final combine task over the part outputs."""
-        coords = np.arange(12)
-        values = np.ones(12)
-        items = [
-            WorkItem(row=0, part=0, num_parts=2, coords=coords[:6],
-                     values=values[:6]),
-            WorkItem(row=0, part=1, num_parts=2, coords=coords[6:],
-                     values=values[6:]),
-        ]
-        scheduler = Scheduler(WorkProgram(items, 1, 12), radix=64)
+        a = CsrMatrix.from_dense(np.ones((1, 12)))
+        scheduler = Scheduler(WorkProgram.from_slices(a, [0, 6], [6, 12]),
+                              radix=64)
         executed = drain(scheduler)
         finals = [t for t in executed if t.is_final]
         assert len(finals) == 1
@@ -116,26 +136,18 @@ class TestSchedulerDispatch:
 
     def test_scattered_parts_complete(self):
         """Parts of one row interleaved with other rows still combine."""
-        items = [
-            WorkItem(row=0, part=0, num_parts=2,
-                     coords=np.array([0]), values=np.array([1.0])),
-            WorkItem(row=1, part=0, num_parts=1,
-                     coords=np.array([1]), values=np.array([1.0])),
-            WorkItem(row=0, part=1, num_parts=2,
-                     coords=np.array([2]), values=np.array([1.0])),
-        ]
-        scheduler = Scheduler(WorkProgram(items, 2, 3), radix=64)
+        a = CsrMatrix.from_dense(np.array([
+            [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+        scheduler = Scheduler(
+            WorkProgram.from_slices(a, [0, 2, 1], [1, 3, 2]), radix=64)
         executed = drain(scheduler)
         assert sum(t.is_final for t in executed) == 2
 
     def test_many_parts_build_combine_tree(self):
         parts = 10
-        items = [
-            WorkItem(row=0, part=i, num_parts=parts,
-                     coords=np.array([i]), values=np.array([1.0]))
-            for i in range(parts)
-        ]
-        scheduler = Scheduler(WorkProgram(items, 1, parts), radix=3)
+        a = CsrMatrix.from_dense(np.ones((1, parts)))
+        scheduler = Scheduler(WorkProgram.from_slices(
+            a, np.arange(parts), np.arange(1, parts + 1)), radix=3)
         executed = drain(scheduler)
         finals = [t for t in executed if t.is_final]
         assert len(finals) == 1

@@ -290,16 +290,10 @@ def split_case(seed):
     first parts dispatch — so runs open on a non-final leaf with no task
     waiting at all.
     """
-    from repro.core.scheduler import WorkItem
-
     a, b = deep_pair(seed)
-    items = []
-    for row in range(a.num_rows):
-        lo, hi = a.offsets[row], a.offsets[row + 1]
-        for part, k in enumerate(range(lo, hi)):
-            items.append(WorkItem(row, part, int(hi - lo),
-                                  a.coords[k:k + 1], a.values[k:k + 1]))
-    return SMALL_CONFIG, a, b, WorkProgram(items, a.num_rows, a.num_cols)
+    nonzeros = np.arange(a.nnz)
+    return SMALL_CONFIG, a, b, WorkProgram.from_slices(a, nonzeros,
+                                                       nonzeros + 1)
 
 
 def functional_cases():
