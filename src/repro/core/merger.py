@@ -18,8 +18,10 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-#: Total element count above which one np.lexsort beats the Python heap.
-_LEXSORT_MIN = 256
+#: Total element count from which one np.lexsort beats the Python heap
+#: (measured crossover: 16-20 elements at 2-8 ways, ~28 at 16 ways);
+#: tests/test_kernel_speed.py checks it at a quarter and at 4x.
+_LEXSORT_MIN = 24
 
 
 class MergerRadixError(ValueError):

@@ -219,11 +219,12 @@ def linear_combine(fibers: Sequence[Fiber],
 
 
 #: Largest total element count routed to the dict accumulator; tuned
-#: against the array kernel on this interpreter (scripts/bench_hotpath.py
-#: tracks the crossover).
+#: against the array kernel on this interpreter
+#: (tests/test_kernel_speed.py checks the crossover at 12 and 192).
 _DICT_PATH_MAX = 48
 #: Smallest total element count routed to the reduceat kernel for
-#: non-arithmetic semirings (below it the scalar dict loop wins).
+#: non-arithmetic semirings (below it the scalar dict loop wins; same
+#: test, same two sizes).
 _SEMIRING_VECTOR_MIN = 48
 
 

@@ -13,7 +13,7 @@ drives thousands of simulated clients against it deterministically.
 * :mod:`repro.serve.server` — HTTP server, slot pool, admission,
   shutdown;
 * :mod:`repro.serve.loadgen` — deterministic zipf-skewed load schedules
-  and the drivers that replay them (in-process or over sockets).
+  and the in-process driver that replays them.
 """
 
 from repro.serve.jobs import JOB_STATES, Job, JobSpec, JobValidationError
@@ -21,8 +21,6 @@ from repro.serve.loadgen import (
     build_population,
     build_schedule,
     run_schedule,
-    run_schedule_http,
-    schedule_stats,
     summarize_results,
 )
 from repro.serve.server import (
@@ -55,8 +53,6 @@ __all__ = [
     "build_schedule",
     "http_request",
     "run_schedule",
-    "run_schedule_http",
     "run_service",
-    "schedule_stats",
     "summarize_results",
 ]

@@ -12,19 +12,15 @@ result-serving workloads (a few hot configurations, a long tail) and is
 what makes the tiered store earn its keep — the acceptance bar is an
 L1+L2 hit rate above 80% on the default mix.
 
-Running a schedule is separate from building it. Two drivers share the
-same per-request loop (submit, honor 429/503 ``Retry-After``, await the
-terminal job state):
-
-* :func:`run_schedule` — in-process, straight into
-  :meth:`~repro.serve.server.JobServer.submit`; no sockets, so chaos
-  tests can assert exact determinism of everything except wall time.
-* :func:`run_schedule_http` — over real sockets against a listening
-  server, used by the CLI smoke test and the benchmark.
-
-Only the *schedule* and the aggregate outcome (statuses, sources) are
-deterministic; latency numbers are measurements and are reported
-separately so tests never assert on them.
+Running a schedule is separate from building it. :func:`run_schedule`
+replays one in-process, straight into
+:meth:`~repro.serve.server.JobServer.submit`: each request is submitted
+until admitted (honoring 429/503 ``Retry-After``) and awaited to its
+terminal job state. There are no sockets and no timers, so a replay's
+outcome (statuses, states, sources) is deterministic for a
+deterministic server, which the chaos tests assert. The benchmark's
+``serve-zipf`` workload times a ``repro serve`` process over HTTP with
+its own client.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 #: Schedule schema version (bump when the JSON shape changes).
 SCHEDULE_SCHEMA = 1
@@ -116,49 +112,12 @@ def build_schedule(seed: int = 0,
     }
 
 
-def schedule_stats(schedule: Dict[str, Any]) -> Dict[str, Any]:
-    """Deterministic shape metrics of a schedule (no execution).
-
-    ``distinct_specs`` bounds the number of real simulations a server
-    run can possibly need; ``top_spec_share`` shows the zipf skew the
-    cache tiers exploit.
-    """
-    entries = schedule["requests"]
-    by_spec: Dict[str, int] = {}
-    by_client: Dict[str, int] = {}
-    for entry in entries:
-        spec_key = repr(sorted(entry["spec"].items()))
-        by_spec[spec_key] = by_spec.get(spec_key, 0) + 1
-        by_client[entry["client"]] = by_client.get(entry["client"], 0) + 1
-    total = len(entries)
-    top = max(by_spec.values()) if by_spec else 0
-    return {
-        "requests": total,
-        "distinct_specs": len(by_spec),
-        "distinct_clients": len(by_client),
-        "top_spec_share": top / total if total else 0.0,
-        "max_client_requests": max(by_client.values()) if by_client else 0,
-        "duration_ms": entries[-1]["at_ms"] if entries else 0.0,
-    }
-
-
-def _percentile(values: List[float], q: float) -> Optional[float]:
-    """Nearest-rank percentile; None on empty input."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, int(q * len(ordered))))
-    return ordered[rank]
-
-
 def summarize_results(results: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Aggregate per-request outcomes into the report the tests and the
-    benchmark consume. Everything except the ``latency_ms`` block is
+    """Aggregate per-request outcomes into the report the tests consume;
     deterministic for a deterministic server run."""
     statuses: Dict[str, int] = {}
     sources: Dict[str, int] = {}
     states: Dict[str, int] = {}
-    latencies: List[float] = []
     resubmits = 0
     for result in results:
         status = str(result["status"])
@@ -167,8 +126,6 @@ def summarize_results(results: List[Dict[str, Any]]) -> Dict[str, Any]:
             sources[result["source"]] = sources.get(result["source"], 0) + 1
         if result.get("state"):
             states[result["state"]] = states.get(result["state"], 0) + 1
-        if result.get("latency_ms") is not None:
-            latencies.append(result["latency_ms"])
         resubmits += result.get("resubmits", 0)
     return {
         "requests": len(results),
@@ -176,35 +133,29 @@ def summarize_results(results: List[Dict[str, Any]]) -> Dict[str, Any]:
         "states": dict(sorted(states.items())),
         "sources": dict(sorted(sources.items())),
         "resubmits": resubmits,
-        "latency_ms": {
-            "p50": _percentile(latencies, 0.50),
-            "p90": _percentile(latencies, 0.90),
-            "p99": _percentile(latencies, 0.99),
-            "max": max(latencies) if latencies else None,
-        },
     }
 
 
-async def _drive_one(submit, entry: Dict[str, Any],
+async def _drive_one(server, entry: Dict[str, Any],
                      max_attempts: int, time_scale: float,
                      job_timeout: float) -> Dict[str, Any]:
     """Submit one scheduled request until accepted (honoring
     ``Retry-After``) and await its terminal payload."""
-    started = time.perf_counter()
     resubmits = 0
     status, payload = 0, None
     for attempt in range(max_attempts):
-        status, payload, retry_after = await submit(entry)
+        status, payload = await server.submit_and_wait(
+            entry["spec"], client=entry["client"], timeout=job_timeout)
         if status not in (429, 503):
             break
         resubmits += 1
         if attempt + 1 < max_attempts:
+            retry_after = server.config.retry_after_seconds
             await asyncio.sleep(max(retry_after, 0.001) * time_scale
                                 if time_scale else 0.001)
-    latency_ms = (time.perf_counter() - started) * 1000.0
     result: Dict[str, Any] = {
         "i": entry["i"], "client": entry["client"], "status": status,
-        "latency_ms": latency_ms, "resubmits": resubmits,
+        "resubmits": resubmits,
     }
     if isinstance(payload, dict) and "state" in payload:
         result["state"] = payload["state"]
@@ -219,11 +170,19 @@ async def _drive_one(submit, entry: Dict[str, Any],
     return result
 
 
-async def _run(schedule: Dict[str, Any], submit,
-               time_scale: float, max_attempts: int,
-               job_timeout: float) -> List[Dict[str, Any]]:
-    """Shared driver: replay the schedule's arrival process (scaled)
-    and run every request concurrently from its issue instant."""
+async def run_schedule(server, schedule: Dict[str, Any],
+                       time_scale: float = 0.0,
+                       max_attempts: int = 8,
+                       job_timeout: float = 300.0,
+                       ) -> List[Dict[str, Any]]:
+    """Replay a schedule straight into an in-process
+    :class:`~repro.serve.server.JobServer` (no sockets).
+
+    Every request runs concurrently from its issue instant.
+    ``time_scale`` scales the schedule's arrival offsets (0 = issue as
+    fast as admission allows — the chaos tests' mode, maximizing
+    coalescing pressure).
+    """
     origin = time.perf_counter()
     tasks = []
     for entry in schedule["requests"]:
@@ -233,61 +192,5 @@ async def _run(schedule: Dict[str, Any], submit,
             if delay > elapsed:
                 await asyncio.sleep(delay - elapsed)
         tasks.append(asyncio.ensure_future(_drive_one(
-            submit, entry, max_attempts, time_scale, job_timeout)))
+            server, entry, max_attempts, time_scale, job_timeout)))
     return list(await asyncio.gather(*tasks))
-
-
-async def run_schedule(server, schedule: Dict[str, Any],
-                       time_scale: float = 0.0,
-                       max_attempts: int = 8,
-                       job_timeout: float = 300.0,
-                       ) -> List[Dict[str, Any]]:
-    """Replay a schedule straight into an in-process
-    :class:`~repro.serve.server.JobServer` (no sockets).
-
-    ``time_scale`` scales the schedule's arrival offsets (0 = issue as
-    fast as admission allows — the chaos tests' mode, maximizing
-    coalescing pressure).
-    """
-
-    async def submit(entry):
-        status, payload = await server.submit_and_wait(
-            entry["spec"], client=entry["client"], timeout=job_timeout)
-        retry_after = server.config.retry_after_seconds
-        return status, payload, retry_after
-
-    return await _run(schedule, submit, time_scale, max_attempts,
-                      job_timeout)
-
-
-async def run_schedule_http(host: str, port: int,
-                            schedule: Dict[str, Any],
-                            time_scale: float = 1.0,
-                            max_attempts: int = 8,
-                            job_timeout: float = 300.0,
-                            ) -> List[Dict[str, Any]]:
-    """Replay a schedule over HTTP against a listening server."""
-    from repro.serve.server import http_request
-
-    async def submit(entry):
-        status, headers, payload = await http_request(
-            host, port, "POST", "/jobs", payload=entry["spec"],
-            headers={"X-Client-Id": entry["client"]})
-        retry_after = float(headers.get("retry-after", 0.5) or 0.5)
-        if status == 202 and isinstance(payload, dict):
-            deadline = time.perf_counter() + job_timeout
-            while time.perf_counter() < deadline:
-                status2, _, payload2 = await http_request(
-                    host, port, "GET",
-                    f"/jobs/{payload['id']}?wait=30")
-                if status2 != 200:
-                    break
-                payload = payload2
-                if payload.get("state") in ("done", "error"):
-                    break
-            status = 200 if isinstance(payload, dict) \
-                and payload.get("state") in ("done", "error") else status
-        return status, payload, retry_after
-
-    return await _run(schedule, submit, time_scale, max_attempts,
-                      job_timeout)

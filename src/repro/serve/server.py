@@ -29,9 +29,9 @@ job API over the machinery the repo already trusts:
 
 The protocol is deliberately tiny HTTP/1.1 (stdlib-only; the container
 has no aiohttp): ``POST /jobs`` (JSON spec → job id), ``GET
-/jobs/<id>`` (``?wait=SECONDS`` long-polls), ``GET /stats``, ``GET
-/metrics`` (a single-snapshot counters document for scrapers), ``GET
-/healthz``. Every response is a complete JSON document with an exact
+/jobs/<id>`` (``?wait=SECONDS`` long-polls), ``GET /metrics`` (a
+single-snapshot counters document for scrapers), ``GET /healthz``.
+Every response is a complete JSON document with an exact
 ``Content-Length`` — a client can observe an old job state or a new
 one, never a torn mixture.
 """
@@ -56,7 +56,7 @@ from repro.engine.sweep import (
     execute_point,
 )
 from repro.obs import spans
-from repro.serve.jobs import Job, JobSpec, JobValidationError
+from repro.serve.jobs import JOB_STATES, Job, JobSpec, JobValidationError
 from repro.serve.store import CoalescingMap, TieredStore
 
 #: Queue-checkpoint envelope version (independent of record schema).
@@ -72,6 +72,19 @@ _REASONS = {
 #: Execution failure reason -> server stats counter.
 _FAIL_STATS = {"timeout": "timeouts", "crash": "crashes",
                "error": "errors", "shutdown": "shutdowns"}
+
+#: Server counters, published under ``jobs`` in ``GET /metrics``.
+_JOB_COUNTERS = (
+    "submitted", "accepted", "coalesced", "computed", "failed",
+    "retries", "timeouts", "crashes", "errors", "shutdowns",
+    "hits_l1", "hits_l2", "restored", "checkpointed",
+)
+
+#: Admission rejections, published under ``admission``.
+_ADMISSION_COUNTERS = (
+    "rejected_client_limit", "rejected_queue_full", "rejected_invalid",
+    "rejected_unavailable",
+)
 
 
 @dataclass
@@ -210,13 +223,8 @@ class JobServer:
         self.store = TieredStore(self.config.l1_capacity)
         self.coalesce = CoalescingMap()
         self.jobs: Dict[str, Job] = {}
-        self.stats: Dict[str, int] = {name: 0 for name in (
-            "submitted", "accepted", "coalesced", "computed", "failed",
-            "retries", "timeouts", "crashes", "errors", "shutdowns",
-            "hits_l1", "hits_l2", "rejected_invalid",
-            "rejected_client_limit", "rejected_queue_full",
-            "rejected_unavailable", "restored", "checkpointed",
-        )}
+        self.stats: Dict[str, int] = dict.fromkeys(
+            _JOB_COUNTERS + _ADMISSION_COUNTERS, 0)
         self._job_seq = itertools.count(1)
         self._per_client: Dict[str, int] = {}
         self._events: Dict[str, asyncio.Event] = {}
@@ -532,42 +540,27 @@ class JobServer:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def stats_payload(self) -> Dict[str, Any]:
-        by_state: Dict[str, int] = {}
-        for job in self.jobs.values():
-            by_state[job.state] = by_state.get(job.state, 0) + 1
-        return {
-            "accepting": self._accepting,
-            "workers": self.config.workers,
-            "stats": {name: self.stats[name]
-                      for name in sorted(self.stats)},
-            "store": {**self.store.stats, **self.store.hit_rates(),
-                      "l1_size": len(self.store.l1),
-                      "l1_capacity": self.store.l1.capacity,
-                      "l1_evictions": self.store.l1.evictions},
-            "coalesce": {"inflight": len(self.coalesce),
-                         "created": self.coalesce.created,
-                         "joined": self.coalesce.joined},
-            "jobs": {"total": len(self.jobs), "by_state": by_state},
-        }
-
     def metrics_payload(self) -> Dict[str, Any]:
         """The ``GET /metrics`` document: one consistent snapshot.
 
-        Built synchronously on the event loop with no awaits, so every
-        counter in the response was read under the same "instant" — a
-        scraper can difference two snapshots without seeing a torn
-        mixture of old and new values (the same guarantee the response
-        framing gives at the byte level).
+        Every server counter appears once: the admission rejections
+        under ``admission``, the rest under ``jobs`` beside the job
+        counts by state. Built synchronously on the event loop with no
+        awaits, so every counter in the response was read under the
+        same "instant" — a scraper can difference two snapshots without
+        seeing a torn mixture of old and new values (the same guarantee
+        the response framing gives at the byte level).
         """
-        store_stats = dict(self.store.stats)
-        unfinished = sum(1 for job in self.jobs.values()
-                         if not job.finished)
+        by_state = dict.fromkeys(JOB_STATES, 0)
+        unfinished = 0
+        for job in self.jobs.values():
+            by_state[job.state] += 1
+            unfinished += not job.finished
         return {
             "schema": 1,
             "accepting": self._accepting,
             "store": {
-                **store_stats,
+                **self.store.stats,
                 **self.store.hit_rates(),
                 "l1_size": len(self.store.l1),
                 "l1_capacity": self.store.l1.capacity,
@@ -578,15 +571,8 @@ class JobServer:
                 "leaders": self.coalesce.created,
                 "riders": self.coalesce.joined,
             },
-            "admission": {
-                "rejected_client_limit":
-                    self.stats["rejected_client_limit"],
-                "rejected_queue_full":
-                    self.stats["rejected_queue_full"],
-                "rejected_invalid": self.stats["rejected_invalid"],
-                "rejected_unavailable":
-                    self.stats["rejected_unavailable"],
-            },
+            "admission": {name: self.stats[name]
+                          for name in _ADMISSION_COUNTERS},
             "queue": {
                 "inflight_executions": len(self.coalesce),
                 "queued_executions": len(self._queued_keys),
@@ -596,9 +582,8 @@ class JobServer:
             "jobs": {
                 "total": len(self.jobs),
                 "unfinished": unfinished,
-                "submitted": self.stats["submitted"],
-                "computed": self.stats["computed"],
-                "failed": self.stats["failed"],
+                "by_state": by_state,
+                **{name: self.stats[name] for name in _JOB_COUNTERS},
             },
         }
 
@@ -657,14 +642,12 @@ class JobServer:
                     except asyncio.TimeoutError:
                         pass  # report current (unfinished) state
             return 200, job.to_payload(), {}
-        if path == "/stats" and method == "GET":
-            return 200, self.stats_payload(), {}
         if path == "/metrics" and method == "GET":
             return 200, self.metrics_payload(), {}
         if path == "/healthz" and method == "GET":
             return 200, {"status": "ok",
                          "accepting": self._accepting}, {}
-        if path in ("/jobs", "/stats", "/metrics", "/healthz") \
+        if path in ("/jobs", "/metrics", "/healthz") \
                 or path.startswith("/jobs/"):
             return 405, _error_body("method_not_allowed",
                                     f"{method} not supported here"), {}

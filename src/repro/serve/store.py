@@ -167,7 +167,7 @@ class TieredStore:
     writer; admit only fills L1.
 
     ``stats`` counts every outcome; :meth:`hit_rates` derives the
-    L1/L2/overall rates the bench report and ``/stats`` endpoint expose.
+    L1/L2/overall rates the ``/metrics`` endpoint exposes.
     """
 
     def __init__(self, l1_capacity: int = 256, l2=None) -> None:

@@ -214,18 +214,18 @@ class TestLifecycle:
             server.store.l1.clear()  # force the L2 path
             s2, b2 = await server.submit_and_wait(SPEC, client="c")
             s3, b3 = await server.submit_and_wait(SPEC, client="d")
-            stats = server.stats_payload()
+            metrics = server.metrics_payload()
             await server.shutdown()
-            return (s1, b1), (s2, b2), (s3, b3), stats
+            return (s1, b1), (s2, b2), (s3, b3), metrics
 
-        (s1, b1), (s2, b2), (s3, b3), stats = serve(scenario())
+        (s1, b1), (s2, b2), (s3, b3), metrics = serve(scenario())
         assert (s1, b1["source"]) == (200, "l1")
         assert (s2, b2["source"]) == (200, "l2")  # ...and promoted
         assert (s3, b3["source"]) == (200, "l1")
         assert b1["fingerprint"] == b2["fingerprint"] == b3["fingerprint"]
-        assert stats["stats"]["computed"] == 1
-        assert stats["stats"]["hits_l1"] == 2
-        assert stats["stats"]["hits_l2"] == 1
+        assert metrics["jobs"]["computed"] == 1
+        assert metrics["jobs"]["hits_l1"] == 2
+        assert metrics["jobs"]["hits_l2"] == 1
 
     @pytest.mark.timeout(60)
     def test_invalid_spec_is_400(self):
@@ -255,11 +255,11 @@ class TestCoalescing:
                     server.submit_and_wait(SPEC, client=f"c{i}")
                     for i in range(8)
                 ])
-                stats = server.stats_payload()
+                metrics = server.metrics_payload()
                 await server.shutdown()
-                return results, stats
+                return results, metrics
 
-            results, stats = serve(scenario())
+            results, metrics = serve(scenario())
         finally:
             spans.disable()
         fingerprints = {body["fingerprint"] for _, body in results}
@@ -271,8 +271,8 @@ class TestCoalescing:
         counts = spans.count_by_name(merged["spans"])
         assert counts["point/execute"] == 1
         assert counts["serve/coalesced"] == 7
-        assert stats["stats"]["coalesced"] == 7
-        assert stats["stats"]["computed"] == 1
+        assert metrics["jobs"]["coalesced"] == 7
+        assert metrics["jobs"]["computed"] == 1
         sources = sorted(body["source"] for _, body in results)
         assert sources == ["coalesced"] * 7 + ["computed"]
 
@@ -507,6 +507,34 @@ class TestMetrics:
         assert after["jobs"]["submitted"] == 1
         assert after["store"]["l2_misses"] == 1
 
+    def test_snapshot_carries_every_server_counter(self):
+        """Each server counter appears exactly once in the document,
+        and the jobs are counted by state."""
+        async def scenario():
+            server = await booted()
+            await server.submit_and_wait(SPEC, client="a")
+            metrics = server.metrics_payload()
+            await server.shutdown()
+            return metrics
+
+        metrics = serve(scenario())
+        names = []
+
+        def collect(section):
+            for name, value in section.items():
+                names.append(name)
+                if isinstance(value, dict):
+                    collect(value)
+
+        collect(metrics)
+        for counter in ("accepted", "coalesced", "hits_l1", "hits_l2",
+                        "retries", "timeouts", "crashes", "errors",
+                        "shutdowns", "restored", "checkpointed"):
+            assert names.count(counter) == 1, counter
+            assert metrics["jobs"][counter] == (counter == "accepted")
+        assert metrics["jobs"]["by_state"] == {
+            "queued": 0, "running": 0, "done": 1, "error": 0}
+
 
 # ----------------------------------------------------------------------
 # HTTP layer (real sockets)
@@ -555,8 +583,7 @@ class TestHttp:
         assert out["missing"][0] == 404
         assert out["method"][0] == 405
         assert out["path"][0] == 404
-        assert out["stats"][0] == 200
-        assert out["stats"][2]["stats"]["computed"] == 1
+        assert out["stats"][0] == 404  # folded into /metrics
         assert out["badjson_status"] == 400
 
     @pytest.mark.timeout(120)
@@ -580,6 +607,7 @@ class TestHttp:
         assert body["schema"] == 1
         assert body["store"]["l2_misses"] >= 1
         assert body["coalesce"]["leaders"] == 1
+        assert body["jobs"]["computed"] == 1
         assert body["queue"]["depth_limit"] == 64
         assert out["method"][0] == 405
 

@@ -1,8 +1,10 @@
-"""Span recorder round-trip, cross-process merge, and run-log schema."""
+"""Span recorder round-trip, cross-process merge, run-log schema, and
+the recording overhead budget."""
 
 import json
 import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -164,3 +166,75 @@ class TestMergeAndRunLog:
             "sweep/point": 2, "cache/hit": 1}
         assert spans.count_by_name(events, prefix="cache/") == {
             "cache/hit": 1}
+
+
+#: Span recording may add at most this share to a compute-bound sweep.
+OVERHEAD_BUDGET = 0.05
+
+
+class TestOverheadBudget:
+    """Spans stay near-free: the budget is bounded from the emit cost.
+
+    Comparing the wall of a sweep with spans on and off would flake:
+    the difference (~0.2%) is far below a shared machine's run-to-run
+    spread. The bound instead multiplies the events one run records by
+    the measured extra cost of recording each of them, over the wall of
+    the same run with spans off.
+    """
+
+    def test_recording_costs_under_budget(self, tmp_path, monkeypatch):
+        from repro.engine.sweep import SweepPoint, run_sweep
+        from repro.matrices import suite
+
+        monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
+        plan = [SweepPoint("gamma", "wiki-Vote", "none"),
+                SweepPoint("gamma", "wiki-Vote", "full"),
+                SweepPoint("gamma", "poisson3Da", "none")]
+        for point in plan:  # generate operands outside the timed runs
+            suite.operands(point.matrix)
+
+        walls = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert run_sweep(plan, serial=True).complete
+            walls.append(time.perf_counter() - start)
+        wall_off = min(walls)
+
+        spans.enable(tmp_path / "run")
+        try:
+            assert run_sweep(plan, serial=True).complete
+        finally:
+            spans.disable()
+        events = spans.merge_directory(tmp_path / "run")["spans"]
+        assert spans.count_by_name(events) == {
+            "sweep/point": 3, "point/execute": 3, "sweep/executed": 3}
+
+        def emit_cost(runs=200, repeat=3):
+            """Best-of-``repeat`` seconds to emit the run's events once."""
+            best = float("inf")
+            for _ in range(repeat):
+                start = time.perf_counter()
+                for _ in range(runs):
+                    for event in events:
+                        if event["type"] == "span":
+                            spans.emit_span(event["name"], event["ts"],
+                                            event["ts"] + event["dur"],
+                                            **event["attrs"])
+                        else:
+                            spans.emit_instant(event["name"],
+                                               **event["attrs"])
+                best = min(best, (time.perf_counter() - start) / runs)
+            return best
+
+        cost_off = emit_cost()
+        spans.enable(tmp_path / "emit")
+        try:
+            cost_on = emit_cost()
+        finally:
+            spans.disable()
+        overhead = (cost_on - cost_off) / wall_off
+        assert overhead < OVERHEAD_BUDGET, (
+            f"recording a run's {len(events)} events costs "
+            f"{(cost_on - cost_off) * 1e6:.0f} us over its "
+            f"{wall_off * 1e3:.0f} ms wall: {overhead:.1%} against the "
+            f"{OVERHEAD_BUDGET:.0%} budget")
