@@ -423,7 +423,9 @@ def execute_point(point: SweepPoint,
     metrics are requested and the cached Gamma record predates them
     (no blob), the point is recomputed instrumented and the entry is
     overwritten — behaviorally identical (the fingerprint excludes
-    metrics), just richer.
+    metrics), just richer. A Gamma point whose program keeps A's natural
+    row order takes its ``none`` twin's cached record instead of
+    simulating again (:func:`natural_order_record`).
 
     The fault hooks (:mod:`repro.engine.faults`) are no-ops unless a
     fault plan is active — the chaos suite uses them to make this exact
@@ -450,14 +452,17 @@ def execute_point(point: SweepPoint,
     config = point.resolved_config()
     model = get_model(point.model)
     if point.model in GAMMA_MODELS:
-        program = None
+        program = record = None
         if point.mask == DEFAULT_MASK:
             program = cached_program(point.matrix, point.variant, config)
-        record = model.run(
-            a, b, config, matrix=point.matrix, variant=point.variant,
-            multi_pe=point.multi_pe, program=program,
-            semiring=point.semiring, mask=point.mask,
-            collect_metrics=want_metrics)
+        if program is not None:
+            record = natural_order_record(point, program, want_metrics)
+        if record is None:
+            record = model.run(
+                a, b, config, matrix=point.matrix, variant=point.variant,
+                multi_pe=point.multi_pe, program=program,
+                semiring=point.semiring, mask=point.mask,
+                collect_metrics=want_metrics)
     elif point.model in SIMULATOR_MODELS:  # gamma-spmv
         record = model.run(
             a, b, config, matrix=point.matrix, variant=point.variant,
@@ -474,6 +479,36 @@ def execute_point(point: SweepPoint,
         point.model, point.matrix, point.variant,
         diskcache.entry_path(key))
     return record
+
+
+def natural_order_record(point: SweepPoint, program,
+                         want_metrics: bool) -> Optional[RunRecord]:
+    """The cached record of ``point`` at variant ``none``, relabelled as
+    ``point``'s own, when ``program`` is A's natural row order.
+
+    The simulator is a function of A, B, config, ``multi_pe``, semiring
+    and program alone. A program whose items are A's nonempty rows, whole
+    and in row order, is the program a ``none`` point runs, so the two
+    records differ only in ``variant``. Returns None, and the point
+    simulates, when the program reorders or tiles, when the ``none``
+    record is not cached or fails to decode, or when metrics are wanted
+    and it carries no blob.
+    """
+    from repro.core import WorkProgram
+
+    natural = WorkProgram.from_matrix(program.a)
+    if not (np.array_equal(program.starts, natural.starts)
+            and np.array_equal(program.ends, natural.ends)):
+        return None
+    payload = diskcache.load(
+        record_key(dataclasses.replace(point, variant="none")))
+    if payload is None or (want_metrics and payload.get("metrics") is None):
+        return None
+    try:
+        record = RunRecord.from_payload(payload)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return dataclasses.replace(record, variant=point.variant)
 
 
 # ----------------------------------------------------------------------
@@ -571,18 +606,19 @@ def checkpoint_key(points: Sequence[SweepPoint]) -> str:
         plan=sorted(record_key(p) for p in dict.fromkeys(points)))
 
 
-def save_checkpoint(points: Sequence[SweepPoint],
-                    result: SweepResult) -> None:
+def save_checkpoint(key: str, total: int, result: SweepResult) -> None:
     """Persist sweep progress (records themselves live in the cache).
 
-    Only resume-relevant state goes in: execution stats vary with
+    ``key`` is the plan's :func:`checkpoint_key`, computed once per
+    sweep, and ``total`` its number of distinct points. Only
+    resume-relevant state goes in: execution stats vary with
     scheduling (e.g. racing workers may each compute a shared
     prerequisite), and the cache must stay byte-identical between
     serial and parallel runs of the same plan.
     """
-    diskcache.store(checkpoint_key(points), {
+    diskcache.store(key, {
         "version": CHECKPOINT_VERSION,
-        "total": len(list(dict.fromkeys(points))),
+        "total": total,
         "completed": len(result),
         "quarantined": [
             f.to_payload() for f in result.quarantined.values()
@@ -709,6 +745,11 @@ def run_sweep(
     ]
 
     computed: set = set()
+    plan_key = checkpoint_key(ordered)
+
+    def checkpoint() -> None:
+        if diskcache.cache_enabled():
+            save_checkpoint(plan_key, len(ordered), result)
 
     def on_point_done(point: SweepPoint, record: RunRecord,
                       wall_seconds: float) -> None:
@@ -721,18 +762,14 @@ def run_sweep(
         }
         if on_executed is not None:
             on_executed(point, record, wall_seconds)
-        if diskcache.cache_enabled():
-            save_checkpoint(ordered, result)
+        checkpoint()
 
     def on_point_quarantined(failure: PointFailure) -> None:
         result.quarantined[failure.point] = failure
         count("quarantined", point=failure.point)
+        checkpoint()
         if policy.fail_fast:
-            if diskcache.cache_enabled():
-                save_checkpoint(ordered, result)
             raise SweepPointError(failure)
-        if diskcache.cache_enabled():
-            save_checkpoint(ordered, result)
 
     if collect_metrics:
         os.environ[METRICS_ENV] = "1"
@@ -740,7 +777,7 @@ def run_sweep(
         return _run_sweep_body(
             ordered, pending_set, pending, prerequisites, result,
             computed, workers, serial, policy, count,
-            on_result, on_point_done, on_point_quarantined)
+            on_result, on_point_done, on_point_quarantined, checkpoint)
     finally:
         if collect_metrics:
             os.environ.pop(METRICS_ENV, None)
@@ -749,7 +786,7 @@ def run_sweep(
 def _run_sweep_body(
     ordered, pending_set, pending, prerequisites, result,
     computed, workers, serial, policy, count,
-    on_result, on_point_done, on_point_quarantined,
+    on_result, on_point_done, on_point_quarantined, checkpoint,
 ) -> SweepResult:
     use_processes = (not serial and diskcache.cache_enabled()
                      and (workers is None or workers > 1))
@@ -793,8 +830,7 @@ def _run_sweep_body(
         result[point] = record
         if on_result is not None:
             on_result(point, record)
-    if diskcache.cache_enabled():
-        save_checkpoint(ordered, result)
+    checkpoint()
     return result
 
 
@@ -805,7 +841,6 @@ def _execute_with_retries(
     first_error: Optional[BaseException] = None,
 ) -> Union[Tuple[RunRecord, float], PointFailure]:
     """Serial-mode attempt loop: retries with backoff, then quarantine."""
-    key = record_key(point)
     attempt = 0
     last_error = repr(first_error) if first_error is not None else ""
     if first_error is not None:
@@ -815,7 +850,7 @@ def _execute_with_retries(
         if attempt > 0:
             count("retries", point=point)
             backoff_start = time.time()
-            time.sleep(policy.backoff_delay(key, attempt - 1))
+            time.sleep(policy.backoff_delay(record_key(point), attempt - 1))
             spans.emit_span("sweep/backoff", backoff_start,
                             point=point.label(), attempt=attempt)
         start = time.perf_counter()

@@ -46,20 +46,27 @@ class CooBuilder:
         cols: Iterable[int] | np.ndarray,
         values: Iterable[float] | np.ndarray,
     ) -> None:
-        """Vectorized bulk insertion."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if not (len(rows) == len(cols) == len(values)):
+        """Vectorized bulk insertion.
+
+        Entries of a list are kept as given, so a generator's whole
+        matrix of triples is not copied into new Python objects; arrays
+        are stored as Python scalars.
+        """
+        row_array = np.asarray(rows, dtype=np.int64)
+        col_array = np.asarray(cols, dtype=np.int64)
+        value_array = np.asarray(values, dtype=np.float64)
+        if not (len(row_array) == len(col_array) == len(value_array)):
             raise ValueError("rows/cols/values length mismatch")
-        if len(rows):
-            if rows.min() < 0 or rows.max() >= self.num_rows:
+        if len(row_array):
+            if row_array.min() < 0 or row_array.max() >= self.num_rows:
                 raise IndexError("row index out of range")
-            if cols.min() < 0 or cols.max() >= self.num_cols:
+            if col_array.min() < 0 or col_array.max() >= self.num_cols:
                 raise IndexError("col index out of range")
-        self._rows.extend(rows.tolist())
-        self._cols.extend(cols.tolist())
-        self._vals.extend(values.tolist())
+        for stored, given, array in ((self._rows, rows, row_array),
+                                     (self._cols, cols, col_array),
+                                     (self._vals, values, value_array)):
+            stored.extend(given if isinstance(given, list)
+                          else array.tolist())
 
     @property
     def num_entries(self) -> int:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.matrices.builder import CooBuilder, random_values
-from repro.matrices.csr import CsrMatrix
+from repro.matrices.csr import CsrMatrix, spans
 
 
 #: Bump when generator behaviour changes; invalidates cached simulations.
@@ -25,6 +25,19 @@ GENERATOR_VERSION = 3
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def _assemble(num_rows: int, num_cols: int, rows: list, cols: list,
+              values: list) -> CsrMatrix:
+    """One :class:`CooBuilder` pass over the triples a generator drew.
+
+    Generators draw row by row from one RNG stream (the draws fix the
+    bytes of every suite matrix) but gather the triples in plain lists,
+    so a row costs its draws and list work, not a builder call.
+    """
+    builder = CooBuilder(num_rows, num_cols)
+    builder.add_many(rows, cols, values)
+    return builder.build()
 
 
 def uniform_random(
@@ -39,16 +52,18 @@ def uniform_random(
     The least structured family — minimal row affinity.
     """
     rng = _rng(seed)
-    builder = CooBuilder(num_rows, num_cols)
     lengths = rng.poisson(nnz_per_row, size=num_rows)
     lengths = np.clip(lengths, 0, num_cols)
-    for row in range(num_rows):
-        k = int(lengths[row])
+    rows: list = []
+    cols: list = []
+    values: list = []
+    for row, k in enumerate(lengths.tolist()):
         if k == 0:
             continue
-        cols = rng.choice(num_cols, size=k, replace=False)
-        builder.add_many(np.full(k, row), cols, random_values(rng, k))
-    return builder.build()
+        rows += [row] * k
+        cols += rng.choice(num_cols, size=k, replace=False).tolist()
+        values += random_values(rng, k).tolist()
+    return _assemble(num_rows, num_cols, rows, cols, values)
 
 
 def power_law(
@@ -102,10 +117,6 @@ def power_law(
     col_cdf = np.cumsum(col_weights / col_weights.sum())
     col_permutation = rng.permutation(num_cols)
 
-    def popular(n: int) -> np.ndarray:
-        """n column ids drawn from the Zipf popularity distribution."""
-        return col_permutation[np.searchsorted(col_cdf, rng.random(n))]
-
     # Locality comes from per-cluster column palettes: consecutive rows
     # belong to the same cluster (a web domain / citation community) and
     # draw their local links from the cluster's small shared column set, so
@@ -122,28 +133,31 @@ def power_law(
         for _ in range(num_clusters)
     ]
 
-    builder = CooBuilder(num_rows, num_cols)
-    for row in range(num_rows):
-        k = int(degrees[row])
+    rows: list = []
+    cols: list = []
+    values: list = []
+    for row, k in enumerate(degrees.tolist()):
         num_local = min(int(round(k * locality)), palette_size)
         palette = palettes[min(row // rows_per_cluster, num_clusters - 1)]
-        local = rng.choice(palette, size=num_local,
-                           replace=False) if num_local else np.empty(
-                               0, dtype=np.int64)
-        cols = np.unique(np.concatenate([popular(k - num_local), local]))
+        picked = set(rng.choice(palette, size=num_local,
+                                replace=False).tolist() if num_local else ())
+        # The rest come from the Zipf popularity distribution.
+        picked.update(col_permutation[np.searchsorted(
+            col_cdf, rng.random(k - num_local))].tolist())
         # Top up dedup losses with uniform draws (models the long tail).
         attempts = 0
-        while len(cols) < k and attempts < 4:
-            extra = rng.integers(0, num_cols, size=k - len(cols))
-            cols = np.unique(np.concatenate([cols, extra]))
+        while len(picked) < k and attempts < 4:
+            picked.update(rng.integers(0, num_cols,
+                                       size=k - len(picked)).tolist())
             attempts += 1
-        if len(cols) > k:
-            chosen = rng.permutation(len(cols))[:k]
-            cols = np.sort(cols[chosen])
-        builder.add_many(
-            np.full(len(cols), row), cols, random_values(rng, len(cols))
-        )
-    return builder.build()
+        row_cols = sorted(picked)
+        if len(row_cols) > k:
+            chosen = rng.permutation(len(row_cols))[:k].tolist()
+            row_cols = sorted([row_cols[i] for i in chosen])
+        rows += [row] * len(row_cols)
+        cols += row_cols
+        values += random_values(rng, len(row_cols)).tolist()
+    return _assemble(num_rows, num_cols, rows, cols, values)
 
 
 def symmetric_permute(matrix: CsrMatrix, seed: int = 0) -> CsrMatrix:
@@ -152,6 +166,8 @@ def symmetric_permute(matrix: CsrMatrix, seed: int = 0) -> CsrMatrix:
     Models a mesh whose node numbering scrambles locality (the paper's
     sme3Db case, Fig. 19) — the structure is intact, so affinity-based
     reordering can recover it, but the raw row order has no reuse.
+    Entries move, never merge, so the result is built directly (a
+    builder would drop explicit zeros).
     """
     if matrix.num_rows != matrix.num_cols:
         raise ValueError("symmetric_permute requires a square matrix")
@@ -159,17 +175,16 @@ def symmetric_permute(matrix: CsrMatrix, seed: int = 0) -> CsrMatrix:
     n = matrix.num_rows
     perm = rng.permutation(n)
     inverse = np.argsort(perm)
-    rows = []
-    from repro.matrices.fiber import Fiber
-
-    for new_row in range(n):
-        fiber = matrix.row(int(perm[new_row]))
-        new_coords = inverse[fiber.coords]
-        order = np.argsort(new_coords)
-        rows.append(
-            Fiber(new_coords[order], fiber.values[order], check=False)
-        )
-    return CsrMatrix.from_rows(rows, n)
+    # New row r is old row perm[r], its coordinates renumbered and sorted.
+    lengths = np.diff(matrix.offsets)[perm]
+    gather = spans(matrix.offsets[perm], lengths)
+    rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    coords = inverse[matrix.coords[gather]]
+    order = np.lexsort((coords, rows))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return CsrMatrix((n, n), offsets, coords[order],
+                     matrix.values[gather][order], check=False)
 
 
 def mesh(
@@ -189,7 +204,6 @@ def mesh(
     neighbouring A rows).
     """
     rng = _rng(seed)
-    builder = CooBuilder(num_rows, num_rows)
     # The band width controls coupling density: low-order discretizations
     # spread a row's nonzeros over a wide band (band_factor ~2), while
     # high-order 3D elements couple nodes within barely more than the row
@@ -198,24 +212,29 @@ def mesh(
     # paper's dense FEM matrices compute-bound.
     half_band = max(block, int(round(nnz_per_row * band_factor)))
     clusters = max(1, int(round(1.5 * nnz_per_row / block)))
+    rows: list = []
+    cols: list = []
+    values: list = []
     for row in range(num_rows):
         centers = rng.integers(
             max(0, row - half_band), min(num_rows, row + half_band + 1),
             size=clusters,
         )
-        cols = []
-        for center in centers:
-            lo = max(0, int(center) - block // 2)
-            hi = min(num_rows, lo + block)
-            cols.extend(range(lo, hi))
-        cols = np.unique(cols)
-        keep = min(len(cols), max(1, int(round(rng.normal(nnz_per_row, 1.0)))))
-        cols = rng.choice(cols, size=keep, replace=False)
-        cols = np.unique(np.append(cols, row))  # keep the diagonal
-        builder.add_many(
-            np.full(len(cols), row), cols, random_values(rng, len(cols))
-        )
-    matrix = builder.build()
+        candidates: set = set()
+        for center in centers.tolist():
+            lo = max(0, center - block // 2)
+            candidates.update(range(lo, min(num_rows, lo + block)))
+        candidates = sorted(candidates)
+        keep = min(len(candidates),
+                   max(1, int(round(rng.normal(nnz_per_row, 1.0)))))
+        picked = set(rng.choice(candidates, size=keep,
+                                replace=False).tolist())
+        picked.add(row)  # keep the diagonal
+        row_cols = sorted(picked)
+        rows += [row] * len(row_cols)
+        cols += row_cols
+        values += random_values(rng, len(row_cols)).tolist()
+    matrix = _assemble(num_rows, num_rows, rows, cols, values)
     if renumber:
         matrix = symmetric_permute(matrix, seed=seed + 1)
     return matrix
@@ -233,7 +252,9 @@ def road_network(num_rows: int, seed: int = 0,
     side = int(math.sqrt(num_rows))
     side = max(side, 2)
     total = side * side
-    builder = CooBuilder(total, total)
+    rows: list = []
+    cols: list = []
+    values: list = []
     for node in range(total):
         r, c = divmod(node, side)
         neighbors = []
@@ -246,10 +267,11 @@ def road_network(num_rows: int, seed: int = 0,
             if node + jump < total:
                 neighbors.append(node + jump)
         for nbr in neighbors:
-            v = float(random_values(rng, 1)[0])
-            builder.add(node, nbr, v)
-            builder.add(nbr, node, v)
-    return builder.build()
+            value = random_values(rng, 1).tolist()
+            rows += (node, nbr)
+            cols += (nbr, node)
+            values += value * 2
+    return _assemble(total, total, rows, cols, values)
 
 
 def mixed_density(
@@ -271,7 +293,6 @@ def mixed_density(
     can recover, as it can for the real matrices' block patterns.
     """
     rng = _rng(seed)
-    builder = CooBuilder(num_rows, num_cols)
     num_dense = max(1, int(round(num_rows * dense_row_fraction)))
     dense_rows = set(
         rng.choice(num_rows, size=num_dense, replace=False).tolist()
@@ -280,17 +301,21 @@ def mixed_density(
     # Sparse rows with nearby anchors share columns, but anchors are
     # shuffled so the raw row order carries no locality.
     anchors = rng.integers(0, max(1, num_cols - window), size=num_rows)
-    for row in range(num_rows):
+    rows: list = []
+    cols: list = []
+    values: list = []
+    for row, lo in enumerate(anchors.tolist()):
         if row in dense_rows:
             k = min(num_cols, max(1, int(rng.normal(dense_row_nnz,
                                                     dense_row_nnz * 0.1))))
-            cols = rng.choice(num_cols, size=k, replace=False)
+            cols += rng.choice(num_cols, size=k, replace=False).tolist()
         else:
             k = min(window, max(1, rng.poisson(sparse_nnz_per_row)))
-            lo = int(anchors[row])
-            cols = lo + rng.choice(window, size=k, replace=False)
-        builder.add_many(np.full(k, row), cols, random_values(rng, k))
-    return builder.build()
+            cols += [lo + offset for offset in rng.choice(
+                window, size=k, replace=False).tolist()]
+        rows += [row] * k
+        values += random_values(rng, k).tolist()
+    return _assemble(num_rows, num_cols, rows, cols, values)
 
 
 def block_random(
@@ -308,25 +333,27 @@ def block_random(
     can recover after a shuffle.
     """
     rng = _rng(seed)
-    builder = CooBuilder(num_rows, num_cols)
     rows_per_block = max(1, num_rows // num_blocks)
     cols_per_block = max(1, num_cols // num_blocks)
+    rows: list = []
+    cols: list = []
+    values: list = []
     for row in range(num_rows):
         block_id = min(row // rows_per_block, num_blocks - 1)
         k = min(num_cols, max(1, rng.poisson(nnz_per_row)))
-        in_block = rng.random(k) < in_block_fraction
+        draws = rng.random(k).tolist()
         lo = block_id * cols_per_block
         hi = min(num_cols, lo + cols_per_block)
-        cols = np.where(
-            in_block,
-            rng.integers(lo, hi, size=k),
-            rng.integers(0, num_cols, size=k),
-        )
-        cols = np.unique(cols)
-        builder.add_many(
-            np.full(len(cols), row), cols, random_values(rng, len(cols))
-        )
-    return builder.build()
+        near = rng.integers(lo, hi, size=k).tolist()
+        far = rng.integers(0, num_cols, size=k).tolist()
+        row_cols = sorted({
+            n if draw < in_block_fraction else f
+            for draw, n, f in zip(draws, near, far)
+        })
+        rows += [row] * len(row_cols)
+        cols += row_cols
+        values += random_values(rng, len(row_cols)).tolist()
+    return _assemble(num_rows, num_cols, rows, cols, values)
 
 
 def diagonal_band(
@@ -340,15 +367,19 @@ def diagonal_band(
     rng = _rng(seed)
     if bandwidth is None:
         bandwidth = max(4, int(nnz_per_row * 3))
-    builder = CooBuilder(num_rows, num_cols)
+    rows: list = []
+    cols: list = []
+    values: list = []
     for row in range(num_rows):
         center = int(row * num_cols / max(1, num_rows))
         lo = max(0, center - bandwidth)
         hi = min(num_cols, center + bandwidth + 1)
         k = min(hi - lo, max(1, rng.poisson(nnz_per_row)))
-        cols = rng.choice(np.arange(lo, hi), size=k, replace=False)
-        builder.add_many(np.full(k, row), cols, random_values(rng, k))
-    return builder.build()
+        rows += [row] * k
+        cols += rng.choice(np.arange(lo, hi), size=k,
+                           replace=False).tolist()
+        values += random_values(rng, k).tolist()
+    return _assemble(num_rows, num_cols, rows, cols, values)
 
 
 def shuffled(matrix: CsrMatrix, seed: int = 0) -> CsrMatrix:

@@ -1,7 +1,9 @@
-"""Slow reference implementations of the preprocessing kernels.
+"""Slow reference implementations of the preprocessing kernels and the
+matrix generators.
 
 Each is the straightforward loop the array code in ``repro.preprocessing``
-replaced, kept as the oracle the tests compare it with:
+or ``repro.matrices.generators`` replaced, kept as the oracle the tests
+compare it with:
 
 * :func:`split_row` / :func:`tile_rows` — selective coordinate-space
   tiling, one mask pass per bucket and one recursive call per subrow;
@@ -11,11 +13,16 @@ replaced, kept as the oracle the tests compare it with:
   one ``OrderedDict`` touch per B row reference;
 * :func:`preprocess_items` — the pipeline built from the three, with
   Algorithm 1 run on every reorder request, emitting each work item as
-  ``(row, part, num_parts, coords bytes, values bytes)``.
+  ``(row, part, num_parts, coords bytes, values bytes)``;
+* :func:`uniform_random` ... :func:`diagonal_band` — the suite
+  generators with per-row numpy dedup and one builder call per row
+  (per edge in :func:`road_network`, one ``Fiber`` per row in
+  :func:`symmetric_permute`).
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
@@ -23,6 +30,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 import numpy as np
 
 from repro.config import ELEMENT_BYTES, GammaConfig
+from repro.matrices.builder import CooBuilder, random_values
 from repro.matrices.csr import CsrMatrix
 from repro.matrices.fiber import Fiber
 from repro.matrices.stats import window_size
@@ -377,3 +385,339 @@ def program_items(program):
     """A program's items in :func:`preprocess_items`' tuple form."""
     return [(item.row, item.part, item.num_parts, item.coords.tobytes(),
              item.values.tobytes()) for item in program.items]
+
+
+# ----------------------------------------------------------------------
+# Matrix generators
+# ----------------------------------------------------------------------
+# The suite generators as they were before generation moved to list and
+# set work: one ``add_many`` (or two ``add`` calls) per row or edge and
+# per-row numpy dedup. The RNG calls are the same, in the same order, so
+# each must build the same bytes as its ``repro.matrices.generators``
+# namesake.
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(seed)
+
+
+def uniform_random(
+    num_rows: int,
+    num_cols: int,
+    nnz_per_row: float,
+    seed: int = 0,
+) -> CsrMatrix:
+    """Erdos-Renyi style matrix: nonzeros uniformly distributed.
+
+    Row lengths are Poisson around ``nnz_per_row``; coordinates are uniform.
+    The least structured family — minimal row affinity.
+    """
+    rng = _rng(seed)
+    builder = CooBuilder(num_rows, num_cols)
+    lengths = rng.poisson(nnz_per_row, size=num_rows)
+    lengths = np.clip(lengths, 0, num_cols)
+    for row in range(num_rows):
+        k = int(lengths[row])
+        if k == 0:
+            continue
+        cols = rng.choice(num_cols, size=k, replace=False)
+        builder.add_many(np.full(k, row), cols, random_values(rng, k))
+    return builder.build()
+
+
+def power_law(
+    num_rows: int,
+    num_cols: int,
+    nnz_per_row: float,
+    seed: int = 0,
+    row_skew: float = 1.8,
+    col_skew: float = 1.0,
+    max_degree: Optional[int] = None,
+    locality: float = 0.4,
+) -> CsrMatrix:
+    """Scale-free graph adjacency: skewed row lengths, hub columns.
+
+    Models web/citation/social-network matrices (web-Google, cit-Patents,
+    wiki-Vote, email-Enron...). Row degrees follow a truncated power law
+    with exponent ``row_skew``; column targets mix Zipf-like popularity
+    (exponent ``col_skew`` — hub columns shared by many rows, the reuse
+    Gamma's FiberCache captures) with neighborhood locality: real web and
+    citation graphs are crawled/numbered so nearby rows link to nearby
+    columns.
+
+    Args:
+        max_degree: Cap on row degree (hubs); defaults to
+            ``max(4 * nnz_per_row, num_rows ** 0.5)``.
+        locality: Fraction of each row's nonzeros drawn from a window
+            around the row's own index instead of the popularity
+            distribution.
+    """
+    rng = _rng(seed)
+    if max_degree is None:
+        max_degree = int(max(4 * nnz_per_row, num_rows ** 0.5))
+    max_degree = min(max_degree, num_cols)
+    ranks = np.arange(1, num_rows + 1, dtype=np.float64)
+    degree_weights = ranks ** (-row_skew)
+    target_nnz = nnz_per_row * num_rows
+    degrees = degree_weights * (target_nnz / degree_weights.sum())
+    degrees = np.maximum(1, np.round(degrees)).astype(np.int64)
+    degrees = np.minimum(degrees, max_degree)
+    # Compensate dedup losses and hub truncation so the realized mean
+    # tracks the requested nnz_per_row.
+    shortfall = target_nnz / max(1.0, degrees.sum())
+    if shortfall > 1.0:
+        degrees = np.minimum(
+            max_degree, np.maximum(1, np.round(degrees * shortfall))
+        ).astype(np.int64)
+    rng.shuffle(degrees)
+
+    col_ranks = np.arange(1, num_cols + 1, dtype=np.float64)
+    col_weights = col_ranks ** (-col_skew)
+    col_cdf = np.cumsum(col_weights / col_weights.sum())
+    col_permutation = rng.permutation(num_cols)
+
+    def popular(n: int) -> np.ndarray:
+        """n column ids drawn from the Zipf popularity distribution."""
+        return col_permutation[np.searchsorted(col_cdf, rng.random(n))]
+
+    # Locality comes from per-cluster column palettes: consecutive rows
+    # belong to the same cluster (a web domain / citation community) and
+    # draw their local links from the cluster's small shared column set, so
+    # sibling rows genuinely overlap — as crawled graphs do.
+    rows_per_cluster = 8
+    num_clusters = max(1, num_rows // rows_per_cluster)
+    palette_size = max(3, int(round(2.5 * nnz_per_row * locality)))
+    palettes = [
+        np.sort(rng.choice(
+            num_cols,
+            size=min(palette_size, num_cols),
+            replace=False,
+        ))
+        for _ in range(num_clusters)
+    ]
+
+    builder = CooBuilder(num_rows, num_cols)
+    for row in range(num_rows):
+        k = int(degrees[row])
+        num_local = min(int(round(k * locality)), palette_size)
+        palette = palettes[min(row // rows_per_cluster, num_clusters - 1)]
+        local = rng.choice(palette, size=num_local,
+                           replace=False) if num_local else np.empty(
+                               0, dtype=np.int64)
+        cols = np.unique(np.concatenate([popular(k - num_local), local]))
+        # Top up dedup losses with uniform draws (models the long tail).
+        attempts = 0
+        while len(cols) < k and attempts < 4:
+            extra = rng.integers(0, num_cols, size=k - len(cols))
+            cols = np.unique(np.concatenate([cols, extra]))
+            attempts += 1
+        if len(cols) > k:
+            chosen = rng.permutation(len(cols))[:k]
+            cols = np.sort(cols[chosen])
+        builder.add_many(
+            np.full(len(cols), row), cols, random_values(rng, len(cols))
+        )
+    return builder.build()
+
+
+def symmetric_permute(matrix: CsrMatrix, seed: int = 0) -> CsrMatrix:
+    """Renumber a square matrix: P A P^T with a random permutation P.
+
+    Models a mesh whose node numbering scrambles locality (the paper's
+    sme3Db case, Fig. 19) — the structure is intact, so affinity-based
+    reordering can recover it, but the raw row order has no reuse.
+    """
+    if matrix.num_rows != matrix.num_cols:
+        raise ValueError("symmetric_permute requires a square matrix")
+    rng = _rng(seed)
+    n = matrix.num_rows
+    perm = rng.permutation(n)
+    inverse = np.argsort(perm)
+    rows = []
+    from repro.matrices.fiber import Fiber
+
+    for new_row in range(n):
+        fiber = matrix.row(int(perm[new_row]))
+        new_coords = inverse[fiber.coords]
+        order = np.argsort(new_coords)
+        rows.append(
+            Fiber(new_coords[order], fiber.values[order], check=False)
+        )
+    return CsrMatrix.from_rows(rows, n)
+
+
+def mesh(
+    num_rows: int,
+    nnz_per_row: float,
+    seed: int = 0,
+    block: int = 4,
+    renumber: bool = False,
+    band_factor: float = 2.0,
+) -> CsrMatrix:
+    """FEM/mesh discretization: square, banded, with dense local blocks.
+
+    Models PDE matrices (poisson3Da, filter3D, offshore, raefsky3,
+    ship_001...). Each row's nonzeros sit inside a narrow band around the
+    diagonal, grouped into ``block``-wide clusters — adjacent rows share
+    most of their column sets, giving high affinity (B rows are reused by
+    neighbouring A rows).
+    """
+    rng = _rng(seed)
+    builder = CooBuilder(num_rows, num_rows)
+    # The band width controls coupling density: low-order discretizations
+    # spread a row's nonzeros over a wide band (band_factor ~2), while
+    # high-order 3D elements couple nodes within barely more than the row
+    # length itself (band_factor <1), so adjacent rows overlap almost
+    # entirely and their products collide — which is what makes the
+    # paper's dense FEM matrices compute-bound.
+    half_band = max(block, int(round(nnz_per_row * band_factor)))
+    clusters = max(1, int(round(1.5 * nnz_per_row / block)))
+    for row in range(num_rows):
+        centers = rng.integers(
+            max(0, row - half_band), min(num_rows, row + half_band + 1),
+            size=clusters,
+        )
+        cols = []
+        for center in centers:
+            lo = max(0, int(center) - block // 2)
+            hi = min(num_rows, lo + block)
+            cols.extend(range(lo, hi))
+        cols = np.unique(cols)
+        keep = min(len(cols), max(1, int(round(rng.normal(nnz_per_row, 1.0)))))
+        cols = rng.choice(cols, size=keep, replace=False)
+        cols = np.unique(np.append(cols, row))  # keep the diagonal
+        builder.add_many(
+            np.full(len(cols), row), cols, random_values(rng, len(cols))
+        )
+    matrix = builder.build()
+    if renumber:
+        matrix = symmetric_permute(matrix, seed=seed + 1)
+    return matrix
+
+
+def road_network(num_rows: int, seed: int = 0,
+                 keep_edge_prob: float = 0.62,
+                 extra_edge_prob: float = 0.1) -> CsrMatrix:
+    """Planar road-network adjacency (roadNet-CA, patents_main).
+
+    A thinned 2-D grid graph with sporadic extra local edges: ~2-3 nnz/row,
+    symmetric, strongly diagonal locality.
+    """
+    rng = _rng(seed)
+    side = int(math.sqrt(num_rows))
+    side = max(side, 2)
+    total = side * side
+    builder = CooBuilder(total, total)
+    for node in range(total):
+        r, c = divmod(node, side)
+        neighbors = []
+        if c + 1 < side and rng.random() < keep_edge_prob:
+            neighbors.append(node + 1)
+        if r + 1 < side and rng.random() < keep_edge_prob:
+            neighbors.append(node + side)
+        if rng.random() < extra_edge_prob:
+            jump = int(rng.integers(2, side))
+            if node + jump < total:
+                neighbors.append(node + jump)
+        for nbr in neighbors:
+            v = float(random_values(rng, 1)[0])
+            builder.add(node, nbr, v)
+            builder.add(nbr, node, v)
+    return builder.build()
+
+
+def mixed_density(
+    num_rows: int,
+    num_cols: int,
+    sparse_nnz_per_row: float,
+    dense_row_fraction: float,
+    dense_row_nnz: int,
+    seed: int = 0,
+    locality_window_fraction: float = 0.08,
+) -> CsrMatrix:
+    """LP/optimization matrix: mostly sparse rows plus a few very dense ones.
+
+    Models gupta2, nemsemm1, degme — matrices where a small fraction of rows
+    is orders of magnitude denser than the rest. Dense rows span the whole
+    coordinate range and thrash the FiberCache (the target of selective
+    coordinate-space tiling); sparse rows cluster their nonzeros in a window
+    around a *shuffled* anchor — structure that affinity-based reordering
+    can recover, as it can for the real matrices' block patterns.
+    """
+    rng = _rng(seed)
+    builder = CooBuilder(num_rows, num_cols)
+    num_dense = max(1, int(round(num_rows * dense_row_fraction)))
+    dense_rows = set(
+        rng.choice(num_rows, size=num_dense, replace=False).tolist()
+    )
+    window = max(4, int(num_cols * locality_window_fraction))
+    # Sparse rows with nearby anchors share columns, but anchors are
+    # shuffled so the raw row order carries no locality.
+    anchors = rng.integers(0, max(1, num_cols - window), size=num_rows)
+    for row in range(num_rows):
+        if row in dense_rows:
+            k = min(num_cols, max(1, int(rng.normal(dense_row_nnz,
+                                                    dense_row_nnz * 0.1))))
+            cols = rng.choice(num_cols, size=k, replace=False)
+        else:
+            k = min(window, max(1, rng.poisson(sparse_nnz_per_row)))
+            lo = int(anchors[row])
+            cols = lo + rng.choice(window, size=k, replace=False)
+        builder.add_many(np.full(k, row), cols, random_values(rng, k))
+    return builder.build()
+
+
+def block_random(
+    num_rows: int,
+    num_cols: int,
+    nnz_per_row: float,
+    seed: int = 0,
+    num_blocks: int = 16,
+    in_block_fraction: float = 0.85,
+) -> CsrMatrix:
+    """Community-structured matrix: most nonzeros inside diagonal blocks.
+
+    Models clustered matrices (ca-CondMat, amazon0312, scircuit): rows in
+    the same block share column sets — high affinity that row reordering
+    can recover after a shuffle.
+    """
+    rng = _rng(seed)
+    builder = CooBuilder(num_rows, num_cols)
+    rows_per_block = max(1, num_rows // num_blocks)
+    cols_per_block = max(1, num_cols // num_blocks)
+    for row in range(num_rows):
+        block_id = min(row // rows_per_block, num_blocks - 1)
+        k = min(num_cols, max(1, rng.poisson(nnz_per_row)))
+        in_block = rng.random(k) < in_block_fraction
+        lo = block_id * cols_per_block
+        hi = min(num_cols, lo + cols_per_block)
+        cols = np.where(
+            in_block,
+            rng.integers(lo, hi, size=k),
+            rng.integers(0, num_cols, size=k),
+        )
+        cols = np.unique(cols)
+        builder.add_many(
+            np.full(len(cols), row), cols, random_values(rng, len(cols))
+        )
+    return builder.build()
+
+
+def diagonal_band(
+    num_rows: int,
+    num_cols: int,
+    nnz_per_row: float,
+    seed: int = 0,
+    bandwidth: Optional[int] = None,
+) -> CsrMatrix:
+    """Simple banded matrix (m133-b3, mario002 style structured meshes)."""
+    rng = _rng(seed)
+    if bandwidth is None:
+        bandwidth = max(4, int(nnz_per_row * 3))
+    builder = CooBuilder(num_rows, num_cols)
+    for row in range(num_rows):
+        center = int(row * num_cols / max(1, num_rows))
+        lo = max(0, center - bandwidth)
+        hi = min(num_cols, center + bandwidth + 1)
+        k = min(hi - lo, max(1, rng.poisson(nnz_per_row)))
+        cols = rng.choice(np.arange(lo, hi), size=k, replace=False)
+        builder.add_many(np.full(k, row), cols, random_values(rng, k))
+    return builder.build()

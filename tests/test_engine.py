@@ -211,6 +211,25 @@ class TestSweep:
         for record in results.values():
             assert record.cycles > 0
 
+    def test_record_keys_linear_in_plan(self, monkeypatch):
+        """The checkpoint key is computed once per sweep, not once per
+        completed point (which hashed the whole plan each time)."""
+        from repro.engine import sweep
+
+        calls = []
+
+        def counted(point):
+            calls.append(point)
+            return record_key(point)
+
+        monkeypatch.setattr(sweep, "record_key", counted)
+        points = plan_sweep(
+            SMALL_MATRICES, models=("gamma",), variants=("none",),
+            configs=[scaled_gamma_config(num_pes=pes)
+                     for pes in (8, 16, 32)])
+        assert run_sweep(points, serial=True).complete
+        assert len(calls) <= 3 * len(points)
+
     def test_parallel_equals_serial(self, tmp_path, monkeypatch):
         """The headline determinism guarantee, payload-for-payload."""
         points = plan_sweep(SMALL_MATRICES)
@@ -222,6 +241,70 @@ class TestSweep:
         for point in points:
             assert (parallel[point].to_payload()
                     == serial[point].to_payload()), point
+
+
+class TestNaturalOrderReuse:
+    """A Gamma point whose program keeps A's natural row order takes its
+    ``none`` twin's cached record instead of simulating again."""
+
+    @pytest.fixture
+    def simulations(self, monkeypatch):
+        """One entry per ``GammaSimulator.run`` call."""
+        calls = []
+        original = GammaSimulator.run
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(GammaSimulator, "run", counted)
+        return calls
+
+    def test_natural_full_takes_the_none_record(self, simulations):
+        from repro.engine.sweep import cached_program
+
+        none = execute_point(SweepPoint("gamma", "wiki-Vote", "none"))
+        full_point = SweepPoint("gamma", "wiki-Vote", "full")
+        full = execute_point(full_point)
+        assert len(simulations) == 1
+        expected = dict(none.to_payload(), variant="full")
+        assert full.to_payload() == expected
+        assert diskcache.load(record_key(full_point)) == expected
+        # The record is the one a simulation of the full program gives.
+        a, b = suite.operands("wiki-Vote")
+        config = scaled_gamma_config()
+        simulated = get_model("gamma").run(
+            a, b, config, matrix="wiki-Vote", variant="full",
+            program=cached_program("wiki-Vote", "full", config))
+        assert simulated.to_payload() == expected
+
+    def test_reordered_full_simulates(self, simulations):
+        execute_point(SweepPoint("gamma", "email-Enron", "none"))
+        execute_point(SweepPoint("gamma", "email-Enron", "full"))
+        assert len(simulations) == 2
+
+    def test_without_disk_cache_each_point_simulates(self, simulations,
+                                                     monkeypatch):
+        monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
+        points = plan_sweep(["wiki-Vote"], models=("gamma",))
+        assert run_sweep(points, serial=True).complete
+        assert len(simulations) == len(points) == 2
+
+    def test_metrics_wanted_and_none_lacks_a_blob(self, simulations):
+        execute_point(SweepPoint("gamma", "wiki-Vote", "none"))
+        full = execute_point(SweepPoint("gamma", "wiki-Vote", "full"),
+                             collect_metrics=True)
+        assert len(simulations) == 2
+        assert full.metrics is not None
+
+    def test_metrics_blob_is_reused(self, simulations):
+        none = execute_point(SweepPoint("gamma", "wiki-Vote", "none"),
+                             collect_metrics=True)
+        full = execute_point(SweepPoint("gamma", "wiki-Vote", "full"),
+                             collect_metrics=True)
+        assert len(simulations) == 1
+        assert none.metrics is not None
+        assert full.metrics == none.metrics
 
 
 class TestFacadeParity:

@@ -13,6 +13,7 @@ from repro.matrices.suite import (
     operands,
     spec_by_name,
 )
+from tests import oracles
 
 
 class TestGeneratorFamilies:
@@ -93,6 +94,63 @@ class TestGeneratorFamilies:
         s = generators.shuffled(m, seed=11)
         assert s.nnz == m.nnz
         assert sorted(s.row_lengths()) == sorted(m.row_lengths())
+
+
+def csr_bytes(matrix):
+    """Shape, dtypes and raw bytes of a matrix's three CSR arrays."""
+    return (matrix.shape,) + tuple(
+        (array.dtype.str, array.tobytes())
+        for array in (matrix.offsets, matrix.coords, matrix.values))
+
+
+#: (generator, positional args, keyword args): small shapes that reach
+#: each family's rare branches, square and rectangular.
+ORACLE_CASES = [
+    ("uniform_random", (40, 30, 0.7), {}),  # many empty rows
+    ("uniform_random", (20, 50, 3.0), {}),
+    ("uniform_random", (30, 4, 6.0), {}),  # rows clipped to num_cols
+    ("power_law", (60, 40, 3.0), {}),
+    ("power_law", (40, 90, 5.0), {}),
+    ("power_law", (80, 12, 4.0), {"col_skew": 2.0}),  # top-up draws
+    ("power_law", (50, 70, 2.0), {"locality": 0.0}),  # num_local == 0
+    ("mesh", (50, 6.0), {}),
+    ("mesh", (50, 6.0), {"renumber": True}),
+    ("mesh", (40, 9.0), {"block": 3, "band_factor": 0.8,
+                         "renumber": True}),
+    ("road_network", (30,), {}),
+    ("road_network", (100,), {"extra_edge_prob": 0.6}),  # jump edges
+    ("mixed_density", (60, 80, 3.0, 0.1, 40), {}),
+    ("mixed_density", (50, 50, 2.0, 0.2, 60), {}),  # dense rows clipped
+    ("block_random", (60, 90, 5.0), {"num_blocks": 4}),
+    ("block_random", (80, 40, 6.0), {}),
+    ("diagonal_band", (50, 70, 3.0), {}),
+    ("diagonal_band", (70, 50, 4.0), {"bandwidth": 5}),
+]
+
+
+class TestMatchesOracle:
+    """Each generator builds the same bytes as the per-row loop it
+    replaced (``tests/oracles.py``): same RNG calls, same matrix. The
+    suite digests pin only the suite's own parameters."""
+
+    @pytest.mark.parametrize("seed", (0, 1, 7))
+    @pytest.mark.parametrize(
+        "family,args,kwargs", ORACLE_CASES,
+        ids=[f"{family}-{i}" for i, (family, _, _) in
+             enumerate(ORACLE_CASES)])
+    def test_family(self, family, args, kwargs, seed):
+        built = getattr(generators, family)(*args, seed=seed, **kwargs)
+        expected = getattr(oracles, family)(*args, seed=seed, **kwargs)
+        assert csr_bytes(built) == csr_bytes(expected)
+
+    def test_symmetric_permute_keeps_explicit_zeros(self):
+        from repro.matrices.csr import CsrMatrix
+
+        matrix = CsrMatrix((4, 4), [0, 2, 2, 5, 6], [0, 3, 0, 1, 2, 3],
+                           [1.0, 0.0, 2.0, 3.0, 0.0, 4.0])
+        for seed in range(4):
+            assert csr_bytes(generators.symmetric_permute(matrix, seed)) \
+                == csr_bytes(oracles.symmetric_permute(matrix, seed))
 
 
 class TestSuite:
